@@ -1,30 +1,26 @@
-//! The graph-engine trajectory bench, across graph families and sizes:
+//! The graph-engine trajectory bench, across graph families and sizes.
+//! Every series times one round of the one graph engine
+//! (`GraphSimulation`), through its sequential `step_shard` or its
+//! rayon `step_par`:
 //!
-//! * `old`    — a faithful reproduction of the seed's
-//!   `GraphSimulation::step`: `usize` adjacency arrays, per-draw
-//!   rejection sampling through `&mut dyn RngCore`, a `dyn
-//!   OpinionSource` per vertex, and a full `to_vec()` per round;
-//! * `stream` — the retained stream-seeded API on the new u32 CSR;
-//! * `seq`    — the cell-seeded monomorphized engine, sequential;
-//! * `par`    — the same engine on rayon (bit-identical to `seq`,
-//!   asserted here every run);
-//! * `seq_batched` — the batched three-pass pipeline (bit-packed
-//!   multi-sample draws → gather → combine), sequential;
-//! * `par_batched` — the same pipeline on rayon (bit-identical to
+//! * `seq_batched` — the batched three-pass round (bit-packed
+//!   multi-sample draws → gather → combine) on a plain graph,
+//!   sequential;
+//! * `par_batched` — the same round on rayon (bit-identical to
 //!   `seq_batched`, asserted here every run);
-//! * `seq_weighted` / `par_weighted` — the weighted pipeline (weight
-//!   points + prefix binary-search resolution) over seeded per-edge
-//!   weights in `[1, 8]` on the same topology, measuring the resolution
-//!   overhead;
+//! * `seq_weighted` / `par_weighted` — the round with the weighted draw
+//!   (weight points + prefix binary-search resolution) over seeded
+//!   per-edge weights in `[1, 8]` on the same topology, measuring the
+//!   resolution overhead;
 //! * `seq_weighted_alias` — the same weighted pipeline resolving points
 //!   through the per-row alias bucket indexes (the engine default;
 //!   bit-identical to `seq_weighted`, asserted here every run). The
 //!   bench **fails** if alias resolution is slower than prefix search
 //!   on erdos-renyi at n ≥ 10⁴ — a within-binary, interleaved ratio, so
 //!   the codegen lottery between builds cannot fake a regression;
-//! * `seq_temporal` — the batched pipeline through a two-snapshot
-//!   periodic `TemporalGraph` switching every round (maximal
-//!   schedule-switching overhead);
+//! * `seq_temporal` — the round through a two-snapshot periodic
+//!   `TemporalGraph` switching every round (maximal schedule-switching
+//!   overhead);
 //! * `seq_batched_telem` — `seq_batched` plus the executor's per-trial
 //!   telemetry bookkeeping against a disabled [`od_telemetry::NullSink`]
 //!   (the `enabled()` check and the guarded emit). The bench **fails**
@@ -51,81 +47,6 @@ use od_telemetry::{Event, NullSink, TelemetrySink};
 use std::hint::black_box;
 use std::path::PathBuf;
 
-/// Faithful reproduction of the seed's graph step, kept as the fixed
-/// baseline of the recorded trajectory (the live code no longer contains
-/// it: the refactor removed the `usize` layout and the `dyn` inner loop).
-mod seed_baseline {
-    use od_graphs::{CsrGraph, Graph};
-    use rand::{Rng, RngCore};
-
-    pub struct OldAdjacencyGraph {
-        offsets: Vec<usize>,
-        targets: Vec<usize>,
-    }
-
-    impl OldAdjacencyGraph {
-        pub fn from_csr(g: &CsrGraph) -> Self {
-            let mut offsets = Vec::with_capacity(g.n() + 1);
-            let mut targets = Vec::new();
-            offsets.push(0);
-            for v in 0..g.n() {
-                targets.extend(g.neighbors(v));
-                offsets.push(targets.len());
-            }
-            Self { offsets, targets }
-        }
-
-        fn neighbor_slice(&self, v: usize) -> &[usize] {
-            assert!(v + 1 < self.offsets.len(), "vertex {v} out of range");
-            &self.targets[self.offsets[v]..self.offsets[v + 1]]
-        }
-
-        fn sample_neighbor(&self, v: usize, rng: &mut dyn RngCore) -> usize {
-            let nbrs = self.neighbor_slice(v);
-            assert!(!nbrs.is_empty(), "vertex {v} has no neighbors");
-            nbrs[rng.random_range(0..nbrs.len())]
-        }
-    }
-
-    trait OpinionSource {
-        fn draw(&self, rng: &mut dyn RngCore) -> u32;
-    }
-
-    struct NeighborSource<'a> {
-        graph: &'a OldAdjacencyGraph,
-        vertex: usize,
-        opinions: &'a [u32],
-    }
-
-    impl OpinionSource for NeighborSource<'_> {
-        fn draw(&self, rng: &mut dyn RngCore) -> u32 {
-            self.opinions[self.graph.sample_neighbor(self.vertex, rng)]
-        }
-    }
-
-    fn update_one_3maj(source: &dyn OpinionSource, rng: &mut dyn RngCore) -> u32 {
-        let w1 = source.draw(rng);
-        let w2 = source.draw(rng);
-        if w1 == w2 {
-            w1
-        } else {
-            source.draw(rng)
-        }
-    }
-
-    pub fn step(graph: &OldAdjacencyGraph, opinions: &mut [u32], rng: &mut dyn RngCore) {
-        let old = opinions.to_vec();
-        for (v, slot) in opinions.iter_mut().enumerate() {
-            let source = NeighborSource {
-                graph,
-                vertex: v,
-                opinions: &old,
-            };
-            *slot = update_one_3maj(&source, rng);
-        }
-    }
-}
-
 /// One batched sequential round behind an uninlinable boundary: the
 /// plain `seq_batched` series and the telemetry variant both time THIS
 /// function, so they share one copy of the pipeline's machine code and
@@ -140,7 +61,7 @@ fn batched_round(
     dst: &mut [u32],
     scratch: &mut RoundScratch,
 ) {
-    sim.step_seq_batched(7, round, src, dst, scratch);
+    sim.step_shard(7, round, 0, src, dst, scratch);
 }
 
 fn build_family(name: &str, n: usize) -> CsrGraph {
@@ -190,7 +111,7 @@ fn main() {
 
     println!("== bench group: graph_engine (one 3-Majority round) ==");
     let mut results: Vec<BenchRecord> = Vec::new();
-    let mut er_speedup_at_100k: Option<f64> = None;
+    let mut er_par_speedup_at_100k: Option<f64> = None;
     // (n, alias/prefix mean ratio, min ratio) on erdos-renyi — the
     // gated series.
     let mut er_alias_ratios: Vec<(usize, f64, f64)> = Vec::new();
@@ -238,29 +159,19 @@ fn main() {
             {
                 let mut dst = vec![0u32; n];
                 let mut other = vec![0u32; n];
-                sim.step_seq(7, 0, &src, &mut dst);
-                sim.step_par(7, 0, &src, &mut other);
-                assert_eq!(dst, other, "parallel round diverged from sequential");
-                sim.step_seq_batched(7, 0, &src, &mut dst, &mut RoundScratch::new());
-                sim.step_par_batched(7, 0, &src, &mut other, &ScratchPool::new());
+                sim.step_shard(7, 0, 0, &src, &mut dst, &mut RoundScratch::new());
+                sim.step_par(7, 0, &src, &mut other, &ScratchPool::new());
                 assert_eq!(dst, other, "parallel batched round diverged");
-                wsim.step_seq_weighted(7, 0, &src, &mut dst, &mut RoundScratch::new());
-                wsim.step_par_weighted(7, 0, &src, &mut other, &ScratchPool::new());
+                wsim.step_shard(7, 0, 0, &src, &mut dst, &mut RoundScratch::new());
+                wsim.step_par(7, 0, &src, &mut other, &ScratchPool::new());
                 assert_eq!(dst, other, "parallel weighted round diverged");
-                wsim_alias.step_seq_weighted(7, 0, &src, &mut other, &mut RoundScratch::new());
+                wsim_alias.step_shard(7, 0, 0, &src, &mut other, &mut RoundScratch::new());
                 assert_eq!(dst, other, "alias resolution diverged from prefix search");
             }
 
-            // All six engines are timed with their samples interleaved,
-            // so host-load and frequency drift hit every series equally
-            // and the recorded ratios stay honest.
-            let old_graph = seed_baseline::OldAdjacencyGraph::from_csr(&graph);
-            let mut rng_old = rng_for(0xBE7C4, 2);
-            let mut ops_old = initial.clone();
-            let mut rng_stream = rng_for(0xBE7C4, 1);
-            let mut ops_stream = initial.clone();
-            let (mut dst_seq, mut round_seq) = (vec![0u32; n], 0u64);
-            let (mut dst_par, mut round_par) = (vec![0u32; n], 0u64);
+            // Every series is timed with its samples interleaved, so
+            // host-load and frequency drift hit every series equally and
+            // the recorded ratios stay honest.
             let (mut dst_sb, mut round_sb) = (vec![0u32; n], 0u64);
             let (mut dst_pb, mut round_pb) = (vec![0u32; n], 0u64);
             let (mut dst_sw, mut round_sw) = (vec![0u32; n], 0u64);
@@ -276,49 +187,12 @@ fn main() {
             let mut scratch_t = RoundScratch::new();
             let mut scratch_bt = RoundScratch::new();
             let telem_sink: &dyn TelemetrySink = &NullSink;
-            let mut tview = schedule.view();
+            let tsim = GraphSimulation::new(ThreeMajority, &schedule);
             let id = |engine: &str| format!("{family}/n={n}/{engine}");
             let family_results = measure_interleaved(
                 1,
                 samples,
                 vec![
-                    (
-                        // The seed's engine, reproduced byte-for-byte in
-                        // shape.
-                        id("old"),
-                        Box::new(|| {
-                            ops_old.copy_from_slice(&initial);
-                            seed_baseline::step(&old_graph, &mut ops_old, &mut rng_old);
-                            black_box(&ops_old);
-                        }),
-                    ),
-                    (
-                        // Retained stream-seeded API on the new CSR.
-                        id("stream"),
-                        Box::new(|| {
-                            ops_stream.copy_from_slice(&initial);
-                            sim.step(&mut ops_stream, &mut rng_stream);
-                            black_box(&ops_stream);
-                        }),
-                    ),
-                    (
-                        // Cell-seeded engines (src is read-only: each
-                        // sample steps a fresh round from the same state).
-                        id("seq"),
-                        Box::new(|| {
-                            sim.step_seq(7, round_seq, &src, &mut dst_seq);
-                            round_seq += 1;
-                            black_box(&dst_seq);
-                        }),
-                    ),
-                    (
-                        id("par"),
-                        Box::new(|| {
-                            sim.step_par(7, round_par, &src, &mut dst_par);
-                            round_par += 1;
-                            black_box(&dst_par);
-                        }),
-                    ),
                     (
                         // Batched three-pass pipeline (through the
                         // shared uninlined round, see `batched_round`).
@@ -332,7 +206,7 @@ fn main() {
                     (
                         id("par_batched"),
                         Box::new(|| {
-                            sim.step_par_batched(7, round_pb, &src, &mut dst_pb, &pool);
+                            sim.step_par(7, round_pb, &src, &mut dst_pb, &pool);
                             round_pb += 1;
                             black_box(&dst_pb);
                         }),
@@ -342,7 +216,7 @@ fn main() {
                         // resolution over seeded [1, 8] edge weights.
                         id("seq_weighted"),
                         Box::new(|| {
-                            wsim.step_seq_weighted(7, round_sw, &src, &mut dst_sw, &mut scratch_w);
+                            wsim.step_shard(7, round_sw, 0, &src, &mut dst_sw, &mut scratch_w);
                             round_sw += 1;
                             black_box(&dst_sw);
                         }),
@@ -352,9 +226,10 @@ fn main() {
                         // the per-row alias bucket indexes.
                         id("seq_weighted_alias"),
                         Box::new(|| {
-                            wsim_alias.step_seq_weighted(
+                            wsim_alias.step_shard(
                                 7,
                                 round_sa,
+                                0,
                                 &src,
                                 &mut dst_sa,
                                 &mut scratch_a,
@@ -366,7 +241,7 @@ fn main() {
                     (
                         id("par_weighted"),
                         Box::new(|| {
-                            wsim.step_par_weighted(7, round_pw, &src, &mut dst_pw, &pool_w);
+                            wsim.step_par(7, round_pw, &src, &mut dst_pw, &pool_w);
                             round_pw += 1;
                             black_box(&dst_pw);
                         }),
@@ -397,8 +272,7 @@ fn main() {
                         // round (the worst case for snapshot locality).
                         id("seq_temporal"),
                         Box::new(|| {
-                            GraphSimulation::new(ThreeMajority, tview.at_round(round_st))
-                                .step_seq_batched(7, round_st, &src, &mut dst_st, &mut scratch_t);
+                            tsim.step_shard(7, round_st, 0, &src, &mut dst_st, &mut scratch_t);
                             round_st += 1;
                             black_box(&dst_st);
                         }),
@@ -412,10 +286,7 @@ fn main() {
                     .expect("measured engine")
                     .mean_ns
             };
-            let single_thread_speedup = mean_of("old") / mean_of("seq");
-            let batched_over_seq = mean_of("seq") / mean_of("seq_batched");
-            let batched_over_old = mean_of("old") / mean_of("seq_batched");
-            let parallel_speedup = mean_of("old") / mean_of("par_batched");
+            let par_speedup = mean_of("seq_batched") / mean_of("par_batched");
             let min_of = |engine: &str| {
                 family_results
                     .iter()
@@ -433,10 +304,7 @@ fn main() {
             let telem_over_batched = mean_of("seq_batched_telem") / mean_of("seq_batched");
             let temporal_overhead = mean_of("seq_temporal") / mean_of("seq_batched");
             println!(
-                "  {family}/n={n}: old/seq = {single_thread_speedup:.2}x, \
-                 seq/seq_batched = {batched_over_seq:.2}x, \
-                 old/seq_batched = {batched_over_old:.2}x, \
-                 old/par_batched = {parallel_speedup:.2}x, \
+                "  {family}/n={n}: seq_batched/par_batched = {par_speedup:.2}x, \
                  weighted/batched = {weighted_overhead:.2}x, \
                  alias/batched = {alias_overhead:.2}x, \
                  alias/prefix = {alias_over_prefix:.2}x, \
@@ -444,7 +312,7 @@ fn main() {
                  temporal/batched = {temporal_overhead:.2}x ({threads} threads)"
             );
             if family == "erdos_renyi" && n == 100_000 {
-                er_speedup_at_100k = Some(batched_over_seq);
+                er_par_speedup_at_100k = Some(par_speedup);
             }
             if family == "erdos_renyi" {
                 er_alias_ratios.push((n, alias_over_prefix, alias_over_prefix_min));
@@ -642,8 +510,8 @@ fn main() {
         sink.flush();
         println!("wrote {path}");
     }
-    if let Some(speedup) = er_speedup_at_100k {
-        println!("seq/seq_batched speedup at erdos_renyi n=100000: {speedup:.2}x");
+    if let Some(speedup) = er_par_speedup_at_100k {
+        println!("seq_batched/par_batched speedup at erdos_renyi n=100000: {speedup:.2}x");
     }
     // The in-binary alias gate: within this binary, samples interleaved,
     // alias resolution must not be slower than the prefix binary search

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
-use od_core::GraphSimulation;
+use od_core::{GraphSimulation, RoundScratch};
 use od_graphs::{random_regular, torus_2d, CompleteWithSelfLoops};
 use std::hint::black_box;
 use std::time::Duration;
@@ -21,11 +21,13 @@ fn bench_graph_families(c: &mut Criterion) {
     let complete = CompleteWithSelfLoops::new(n);
     group.bench_function(BenchmarkId::new("step", "complete"), |b| {
         let sim = GraphSimulation::new(ThreeMajority, complete);
-        let mut rng = rng_for(16, 0);
+        let mut dst = vec![0u32; n];
+        let mut scratch = RoundScratch::new();
+        let mut round = 0u64;
         b.iter(|| {
-            let mut ops = initial.clone();
-            sim.step(&mut ops, &mut rng);
-            black_box(ops)
+            sim.step_shard(16, round, 0, &initial, &mut dst, &mut scratch);
+            round += 1;
+            black_box(&dst);
         });
     });
 
@@ -33,22 +35,26 @@ fn bench_graph_families(c: &mut Criterion) {
     let regular = random_regular(n, 8, &mut rng).unwrap();
     group.bench_function(BenchmarkId::new("step", "regular8"), |b| {
         let sim = GraphSimulation::new(ThreeMajority, regular.clone());
-        let mut rng = rng_for(16, 2);
+        let mut dst = vec![0u32; n];
+        let mut scratch = RoundScratch::new();
+        let mut round = 0u64;
         b.iter(|| {
-            let mut ops = initial.clone();
-            sim.step(&mut ops, &mut rng);
-            black_box(ops)
+            sim.step_shard(16, round, 0, &initial, &mut dst, &mut scratch);
+            round += 1;
+            black_box(&dst);
         });
     });
 
     let torus = torus_2d(32, 32);
     group.bench_function(BenchmarkId::new("step", "torus"), |b| {
         let sim = GraphSimulation::new(ThreeMajority, torus.clone());
-        let mut rng = rng_for(16, 3);
+        let mut dst = vec![0u32; n];
+        let mut scratch = RoundScratch::new();
+        let mut round = 0u64;
         b.iter(|| {
-            let mut ops = initial.clone();
-            sim.step(&mut ops, &mut rng);
-            black_box(ops)
+            sim.step_shard(16, round, 0, &initial, &mut dst, &mut scratch);
+            round += 1;
+            black_box(&dst);
         });
     });
     group.finish();

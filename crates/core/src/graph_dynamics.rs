@@ -6,68 +6,60 @@
 //! the updating vertex, so the configuration alone is no longer a
 //! sufficient state and we track per-vertex opinions.
 //!
-//! # Three execution paths
+//! # One engine
 //!
-//! * **Batched three-pass** ([`GraphSimulation::step_seq_batched`] /
-//!   [`GraphSimulation::step_par_batched`] / [`GraphSimulation::run_batched`])
-//!   — the fastest engine and the one the runtime dispatches. Each round
-//!   runs in cache-sized vertex chunks of three passes: **pass 1**
-//!   generates every neighbor index of the chunk into a reusable `u32`
-//!   scratch buffer using bit-packed multi-sample draws
+//! [`GraphSimulation`] runs every round through one batched three-pass
+//! kernel, in cache-sized vertex chunks:
+//!
+//! * **pass 1** draws every neighbor index of the chunk into a reusable
+//!   `u32` scratch buffer with bit-packed multi-sample draws
 //!   ([`od_sampling::batched`]: one SplitMix64 word yields up to three
-//!   21-bit Lemire samples), **pass 2** gathers the sampled opinions with
-//!   no interleaved RNG work, and **pass 3** runs the monomorphized
-//!   [`GraphProtocol::combine_gathered`] kernel over the gathered values.
-//!   The per-cell sampling order is the *documented order* of
-//!   [`od_sampling::batched`]; combine-phase randomness (h-Majority tie
-//!   breaks, noise flips) comes from the independent per-cell stream
-//!   keyed by [`od_sampling::seeds::combine_key`]. Both streams are pure
-//!   functions of `(trial_seed, round, vertex)`, so any partition of a
-//!   round — sequential, sharded, or rayon at any thread count — is
-//!   **bit-identical** (proptest-enforced). Note the batched order
-//!   deliberately differs from the cell-seeded order below: the two
-//!   engines drive the same process but not the same sample paths.
-//! * **Cell-seeded** ([`GraphSimulation::step_seq`] /
-//!   [`GraphSimulation::step_par`] / [`GraphSimulation::run_seeded`]) —
-//!   the PR 2 engine. Each *(round, vertex)* cell derives its randomness
-//!   independently via [`od_sampling::rng_at_cell`], the protocol's
-//!   [`GraphProtocol::pull_one`] kernel monomorphizes (no `dyn` in the
-//!   inner loop), and rounds double-buffer between two opinion arrays
-//!   (no per-round `to_vec`). Because a cell's randomness is a pure
-//!   function of `(trial_seed, round, vertex)`, the rayon-parallel round
-//!   is **bit-identical** to the sequential one for every thread count.
-//! * **Stream-seeded** ([`GraphSimulation::step`] /
-//!   [`GraphSimulation::run`]) — the original engine: one shared RNG
-//!   stream consumed vertex-by-vertex through `dyn` dispatch. Kept as the
-//!   baseline the `graph_engine` bench measures speedups against, and for
-//!   callers that want the literal Definition 3.1 sampling order.
+//!   21-bit Lemire samples);
+//! * **pass 2** gathers the sampled opinions, with no interleaved RNG
+//!   work;
+//! * **pass 3** runs the monomorphized
+//!   [`GraphProtocol::combine_gathered`] kernel over them.
 //!
-//! # Scenario extensions
+//! Two things vary, and only these two:
 //!
-//! * **Weighted graphs** ([`GraphSimulation::step_seq_weighted`] /
-//!   [`GraphSimulation::step_par_weighted`] /
-//!   [`GraphSimulation::run_weighted`], over any
-//!   [`od_graphs::WeightedGraph`]) — the batched pipeline with pass 1
-//!   drawing *weight points* in `[0, W_v)` (documented batched order,
-//!   `range` = the row's total weight) and resolving them through the
-//!   graph's prefix sums; all-one weights reproduce the unweighted
-//!   pipeline bit-for-bit. Same [`RoundScratch`]/[`ScratchPool`] reuse,
-//!   same partition invariance.
-//! * **Temporal graphs** ([`TemporalSimulation`]) — each round runs the
-//!   batched pipeline on the snapshot an [`od_graphs::TemporalGraph`]
-//!   schedules for it (periodic switching or seeded per-epoch
-//!   rewiring); the snapshot is a pure function of the round, so
-//!   schedule invariance is preserved.
+//! * **Pass 1**, through [`NeighborDraw`]. Plain graphs draw uniformly
+//!   over the row (`range` = the degree, Lemire thresholds memoized per
+//!   degree). Weighted graphs ([`od_graphs::WeightedGraph`]) draw
+//!   *weight points* in `[0, W_v)` (`range` = the row's total weight) and
+//!   resolve them to row-local indices through the graph's normative
+//!   point → index map. All-one weights reproduce the plain draw
+//!   bit for bit.
+//! * **The graph in force each round**, through [`GraphSchedule`]. A
+//!   static graph is its own schedule; an [`od_graphs::TemporalGraph`] or
+//!   [`od_graphs::WeightedTemporalGraph`] resolves round `r` to the
+//!   snapshot it schedules for `r` (periodic switching or seeded
+//!   per-epoch rewiring). Each run steps its own cursor, so concurrent
+//!   trials at different rounds never contend on snapshot generation.
+//!
+//! # Why any partition of a round is bit-identical
+//!
+//! A cell's pass-1 stream is `CellRng::for_cell(round_key, vertex)` in
+//! the documented order of [`od_sampling::batched`]; its combine-phase
+//! randomness (h-Majority tie breaks, noise flips) comes from the
+//! independent cell stream keyed by [`od_sampling::seeds::combine_key`];
+//! the point → index map is a pure function of the snapshot; and the
+//! snapshot is a pure function of the round. Every cell's next opinion
+//! is therefore a pure function of `(trial_seed, round, vertex)` and the
+//! round-start opinions. [`GraphSimulation::step_shard`] computes any
+//! contiguous range of cells, so a round computed sequentially, as any
+//! shard partition, or by [`GraphSimulation::step_par`] at any thread
+//! count is bit-identical (proptest-enforced).
 
-use crate::config::OpinionCounts;
 use crate::engine::StopReason;
-use crate::protocol::{tally, GraphProtocol, OpinionSource, SyncProtocol};
-use od_graphs::{Graph, TemporalGraph, WeightedGraph, WeightedTemporalGraph};
+use crate::protocol::GraphProtocol;
+use od_graphs::{
+    CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraphOf, TemporalViewOf, WeightedCsrGraph,
+    WeightedGraph,
+};
 use od_sampling::batched::{
     fill_packed, fill_wide, packed_threshold, ThresholdMemo, MAX_PACKED_RANGE,
 };
 use od_sampling::seeds::{combine_key, round_key, CellRng};
-use rand::RngCore;
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -84,30 +76,14 @@ pub struct GraphRunOutcome {
     pub final_opinions: Vec<u32>,
 }
 
-struct NeighborSource<'a, G: Graph> {
-    graph: &'a G,
-    vertex: usize,
-    opinions: &'a [u32],
-}
-
-impl<G: Graph> OpinionSource for NeighborSource<'_, G> {
-    fn draw(&self, rng: &mut dyn RngCore) -> u32 {
-        self.opinions[self.graph.sample_neighbor(self.vertex, rng)]
-    }
-}
-
-/// Vertices per parallel work unit of [`GraphSimulation::step_par`].
-/// Purely a scheduling granularity — results are independent of it.
-const PAR_CHUNK: usize = 4_096;
-
-/// Vertices per three-pass sub-chunk of the batched pipeline. Sized so a
-/// chunk's index and gather buffers stay cache-resident for typical
-/// sample counts (1024 vertices × 3 samples × 4 B ≈ 12 KiB per buffer).
-/// Purely a blocking granularity — results are independent of it.
+/// Vertices per three-pass sub-chunk of a round. Sized so a chunk's index
+/// and gather buffers stay cache-resident for typical sample counts
+/// (1024 vertices × 3 samples × 4 B ≈ 12 KiB per buffer). Purely a
+/// blocking granularity — results are independent of it.
 const BATCH_CHUNK: usize = 1_024;
 
-/// Reusable buffers of one batched-round worker: the per-chunk index and
-/// gather scratch plus the memo of per-degree Lemire thresholds.
+/// Reusable buffers of one round worker: the per-chunk index and gather
+/// scratch plus the memo of per-degree Lemire thresholds.
 ///
 /// One scratch serves any number of rounds, trials, and graphs (the
 /// threshold memo is a pure function of the degree, so entries never go
@@ -116,7 +92,7 @@ const BATCH_CHUNK: usize = 1_024;
 pub struct RoundScratch {
     /// Row-local neighbor indices of the current chunk (pass 1 output).
     indices: Vec<u32>,
-    /// Gathered neighbor opinions of the current chunk (pass 2 output).
+    /// Gathered neighbor opinions of the current vertex (pass 2 output).
     gathered: Vec<u32>,
     /// Lazily-filled `2²¹ mod degree` rejection thresholds.
     thresholds: ThresholdMemo,
@@ -141,9 +117,9 @@ impl RoundScratch {
     }
 }
 
-/// A shared pool of [`RoundScratch`] buffers for the parallel batched
-/// step: each rayon work unit checks one out, so steady-state rounds
-/// allocate nothing no matter how chunks are scheduled.
+/// A shared pool of [`RoundScratch`] buffers for the parallel step: each
+/// rayon work unit checks one out, so steady-state rounds allocate
+/// nothing no matter how shards are scheduled.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Mutex<Vec<RoundScratch>>,
@@ -174,7 +150,213 @@ impl ScratchPool {
     }
 }
 
-/// Synchronous dynamics of `protocol` on `graph`.
+/// Pass 1 of the round kernel: how a graph draws its vertices' row-local
+/// neighbor indices.
+///
+/// The provided method is the plain draw, uniform over each row; the
+/// weighted impl on [`WeightedCsrGraph`] overrides it with
+/// weight-proportional draws. A custom [`Graph`] opts into the plain
+/// draw with an empty `impl NeighborDraw for MyGraph {}`.
+pub trait NeighborDraw: Graph {
+    /// Fills `indices` with `samples` row-local neighbor indices for each
+    /// vertex `base, base + 1, …` (one row of `samples` per vertex), each
+    /// row drawn from the vertex's cell stream
+    /// `CellRng::for_cell(round_key, v)` in the documented order of
+    /// [`od_sampling::batched`]: `range` is the degree, and `thresholds`
+    /// memoizes the per-degree Lemire thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a drawn vertex has no neighbors.
+    #[inline(always)]
+    fn draw_neighbors(
+        &self,
+        round_key: u64,
+        base: usize,
+        samples: usize,
+        indices: &mut [u32],
+        thresholds: &mut ThresholdMemo,
+    ) {
+        match self.uniform_degree() {
+            Some(d) => {
+                assert!(d > 0, "vertex {base} has no neighbors");
+                if d <= MAX_PACKED_RANGE as usize {
+                    let range = d as u32;
+                    let threshold = thresholds.threshold(range);
+                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                        let mut cell = CellRng::for_cell(round_key, (base + offset) as u64);
+                        fill_packed(&mut cell, range, threshold, row);
+                    }
+                } else {
+                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                        let mut cell = CellRng::for_cell(round_key, (base + offset) as u64);
+                        fill_wide(&mut cell, d as u64, row);
+                    }
+                }
+            }
+            None => {
+                // Irregular graphs: the Lemire threshold is a pure
+                // function of the degree, memoized in a dense per-degree
+                // table — an L1-hot load per vertex with no data-dependent
+                // branch on the (unpredictable) degree sequence.
+                for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                    let v = base + offset;
+                    let d = self.degree(v);
+                    assert!(d > 0, "vertex {v} has no neighbors");
+                    let mut cell = CellRng::for_cell(round_key, v as u64);
+                    if d <= MAX_PACKED_RANGE as usize {
+                        let threshold = thresholds.threshold(d as u32);
+                        fill_packed(&mut cell, d as u32, threshold, row);
+                    } else {
+                        fill_wide(&mut cell, d as u64, row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl NeighborDraw for CompleteWithSelfLoops {}
+
+impl NeighborDraw for CsrGraph {}
+
+/// The weighted draw: each row draws *weight points* in `[0, W_v)` (the
+/// documented batched order with `range = W_v`) and resolves them in
+/// place to row-local indices through [`WeightedGraph::resolve_points`],
+/// while the freshly drawn points are still in registers/L1.
+impl NeighborDraw for WeightedCsrGraph {
+    #[inline(always)]
+    fn draw_neighbors(
+        &self,
+        round_key: u64,
+        base: usize,
+        samples: usize,
+        indices: &mut [u32],
+        _thresholds: &mut ThresholdMemo,
+    ) {
+        match self.uniform_row_weight() {
+            Some(w) => {
+                debug_assert!(w > 0, "weighted rows are validated positive");
+                if w <= u64::from(MAX_PACKED_RANGE) {
+                    // Row weights range up to 2²¹, so the dense per-range
+                    // memo of the plain draw would allocate megabytes to
+                    // cache single divisions; the hoisted (uniform) and
+                    // per-vertex (irregular) thresholds are computed
+                    // directly.
+                    let range = w as u32;
+                    let threshold = packed_threshold(range);
+                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                        let v = base + offset;
+                        let mut cell = CellRng::for_cell(round_key, v as u64);
+                        fill_packed(&mut cell, range, threshold, row);
+                        self.resolve_points(v, row);
+                    }
+                } else {
+                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                        let v = base + offset;
+                        let mut cell = CellRng::for_cell(round_key, v as u64);
+                        fill_wide(&mut cell, w, row);
+                        self.resolve_points(v, row);
+                    }
+                }
+            }
+            None => {
+                for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
+                    let v = base + offset;
+                    let w = self.row_weight(v);
+                    debug_assert!(w > 0, "weighted rows are validated positive");
+                    let mut cell = CellRng::for_cell(round_key, v as u64);
+                    if w <= u64::from(MAX_PACKED_RANGE) {
+                        let threshold = packed_threshold(w as u32);
+                        fill_packed(&mut cell, w as u32, threshold, row);
+                    } else {
+                        fill_wide(&mut cell, w, row);
+                    }
+                    self.resolve_points(v, row);
+                }
+            }
+        }
+    }
+}
+
+impl<G: NeighborDraw + ?Sized> NeighborDraw for &G {
+    #[inline(always)]
+    fn draw_neighbors(
+        &self,
+        round_key: u64,
+        base: usize,
+        samples: usize,
+        indices: &mut [u32],
+        thresholds: &mut ThresholdMemo,
+    ) {
+        (**self).draw_neighbors(round_key, base, samples, indices, thresholds);
+    }
+}
+
+/// The graph in force each round: a static graph is its own schedule;
+/// a borrowed [`TemporalGraphOf`] resolves each round to its snapshot.
+pub trait GraphSchedule {
+    /// The graph type every round runs on.
+    type Graph: NeighborDraw;
+
+    /// A per-run cursor over the schedule (a temporal view caches the
+    /// current epoch's snapshot).
+    type Cursor<'a>
+    where
+        Self: 'a;
+
+    /// The (fixed) number of vertices every round's graph has.
+    fn vertex_count(&self) -> usize;
+
+    /// A fresh cursor; each run (and each concurrent trial) holds its own.
+    fn cursor(&self) -> Self::Cursor<'_>;
+
+    /// The graph in force at `round`.
+    fn at_round<'c>(cursor: &'c mut Self::Cursor<'_>, round: u64) -> &'c Self::Graph;
+}
+
+impl<G: NeighborDraw> GraphSchedule for G {
+    type Graph = G;
+    type Cursor<'a>
+        = &'a G
+    where
+        G: 'a;
+
+    fn vertex_count(&self) -> usize {
+        self.n()
+    }
+
+    fn cursor(&self) -> &G {
+        self
+    }
+
+    fn at_round<'c>(cursor: &'c mut &G, _round: u64) -> &'c G {
+        cursor
+    }
+}
+
+impl<G: NeighborDraw> GraphSchedule for &TemporalGraphOf<G> {
+    type Graph = G;
+    type Cursor<'a>
+        = TemporalViewOf<'a, G>
+    where
+        Self: 'a;
+
+    fn vertex_count(&self) -> usize {
+        self.n()
+    }
+
+    fn cursor(&self) -> TemporalViewOf<'_, G> {
+        self.view()
+    }
+
+    fn at_round<'c>(cursor: &'c mut TemporalViewOf<'_, G>, round: u64) -> &'c G {
+        cursor.at_round(round)
+    }
+}
+
+/// Synchronous dynamics of `protocol` on a graph schedule: a static
+/// graph (plain or weighted) or a borrowed temporal schedule of either.
 ///
 /// # Examples
 ///
@@ -184,25 +366,54 @@ impl ScratchPool {
 /// let g = CompleteWithSelfLoops::new(200);
 /// let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(10_000);
 /// let opinions: Vec<u32> = (0..200).map(|v| (v % 2) as u32).collect();
-/// let out = sim.run_seeded(&opinions, 3);
+/// let out = sim.run(&opinions, 3);
 /// assert!(out.rounds > 0 || out.winner.is_some());
 /// ```
+///
+/// A periodic temporal schedule, run sequentially and on rayon:
+///
+/// ```
+/// use od_core::{GraphSimulation, protocol::ThreeMajority};
+/// use od_graphs::{cycle, star, TemporalGraph};
+/// let schedule = TemporalGraph::periodic(vec![star(60), cycle(60)], 4).unwrap();
+/// let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
+/// let out = sim.run(&initial, 7);
+/// assert_eq!(out, sim.run_par(&initial, 7)); // bit-identical
+/// ```
+///
+/// A weighted temporal schedule: both the edge set and the weight rows
+/// follow the snapshot in force.
+///
+/// ```
+/// use od_core::{GraphSimulation, protocol::ThreeMajority};
+/// use od_graphs::{cycle, star, WeightedCsrGraph, WeightedTemporalGraph};
+/// let snapshots = vec![
+///     WeightedCsrGraph::from_csr_uniform(star(60), 3).unwrap(),
+///     WeightedCsrGraph::from_csr_with(cycle(60), |u, v| (u + v + 1) as u32).unwrap(),
+/// ];
+/// let schedule = WeightedTemporalGraph::periodic(snapshots, 4).unwrap();
+/// let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
+/// let out = sim.run(&initial, 7);
+/// assert_eq!(out, sim.run_par(&initial, 7)); // bit-identical
+/// ```
 #[derive(Debug, Clone)]
-pub struct GraphSimulation<P, G> {
+pub struct GraphSimulation<P, S> {
     protocol: P,
-    graph: G,
+    schedule: S,
     max_rounds: u64,
 }
 
 const DEFAULT_MAX_ROUNDS: u64 = 1_000_000;
 
-impl<P, G: Graph> GraphSimulation<P, G> {
-    /// Creates a simulation of `protocol` on `graph`.
+impl<P, S: GraphSchedule> GraphSimulation<P, S> {
+    /// Creates a simulation of `protocol` on `schedule`.
     #[must_use]
-    pub fn new(protocol: P, graph: G) -> Self {
+    pub fn new(protocol: P, schedule: S) -> Self {
         Self {
             protocol,
-            graph,
+            schedule,
             max_rounds: DEFAULT_MAX_ROUNDS,
         }
     }
@@ -219,92 +430,79 @@ impl<P, G: Graph> GraphSimulation<P, G> {
         self
     }
 
-    /// The underlying graph.
-    #[must_use]
-    pub fn graph(&self) -> &G {
-        &self.graph
-    }
-
-    fn assert_lengths(&self, src: &[u32], dst: &[u32]) {
-        assert_eq!(
-            src.len(),
-            self.graph.n(),
-            "step: opinions length must equal the number of vertices"
+    /// The double-buffered round loop behind every run. Check order per
+    /// round: consensus, stop predicate, round cap — all including round
+    /// 0. `step` receives the graph in force at the round.
+    fn run_rounds(
+        &self,
+        initial: &[u32],
+        mut stop: impl FnMut(u64, &[u32]) -> bool,
+        mut step: impl FnMut(&S::Graph, u64, &[u32], &mut [u32]),
+    ) -> GraphRunOutcome {
+        assert!(
+            !initial.is_empty(),
+            "run: initial opinions must be non-empty"
         );
         assert_eq!(
-            src.len(),
-            dst.len(),
-            "step: source and destination buffers must have equal length"
+            initial.len(),
+            self.schedule.vertex_count(),
+            "run: opinions length must equal the number of vertices"
         );
+        let mut cursor = self.schedule.cursor();
+        let mut current = initial.to_vec();
+        let mut next = vec![0u32; initial.len()];
+        let mut rounds: u64 = 0;
+        loop {
+            let first = current[0];
+            if current.iter().all(|&o| o == first) {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: Some(first as usize),
+                    reason: StopReason::Consensus,
+                    final_opinions: current,
+                };
+            }
+            if stop(rounds, &current) {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: None,
+                    reason: StopReason::Predicate,
+                    final_opinions: current,
+                };
+            }
+            if rounds >= self.max_rounds {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: None,
+                    reason: StopReason::RoundLimit,
+                    final_opinions: current,
+                };
+            }
+            let graph = S::at_round(&mut cursor, rounds);
+            step(graph, rounds, &current, &mut next);
+            std::mem::swap(&mut current, &mut next);
+            rounds += 1;
+        }
     }
 }
 
-impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` sequentially:
-    /// `dst[v]` becomes the updated opinion of vertex `v` given the
-    /// round-start opinions `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_seq(&self, trial_seed: u64, round: u64, src: &[u32], dst: &mut [u32]) {
-        self.assert_lengths(src, dst);
-        let rk = round_key(trial_seed, round);
-        self.step_cells(rk, 0, src, dst);
-    }
-
-    /// The kernel shared by the sequential and parallel steps: updates
-    /// the cells `first_vertex..first_vertex + dst.len()` of one round.
-    fn step_cells(&self, rk: u64, first_vertex: usize, src: &[u32], dst: &mut [u32]) {
-        for (offset, slot) in dst.iter_mut().enumerate() {
-            let v = first_vertex + offset;
-            let mut rng = CellRng::for_cell(rk, v as u64);
-            *slot = self.protocol.pull_one(
-                src[v],
-                |rng: &mut CellRng| src[self.graph.sample_neighbor(v, rng)],
-                &mut rng,
-            );
-        }
-    }
-
-    /// Computes round `round` of trial `trial_seed` through the batched
-    /// three-pass pipeline, sequentially.
-    ///
-    /// Bit-identical to [`GraphSimulation::step_par_batched`] and to any
-    /// sharded composition of [`GraphSimulation::step_batched_shard`] —
-    /// but **not** to the cell-seeded [`GraphSimulation::step_seq`],
-    /// whose per-cell sampling order differs (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
-    /// a vertex has no neighbors.
-    pub fn step_seq_batched(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        src: &[u32],
-        dst: &mut [u32],
-        scratch: &mut RoundScratch,
-    ) {
-        self.assert_lengths(src, dst);
-        self.step_batched_shard(trial_seed, round, 0, src, dst, scratch);
-    }
-
+impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
     /// Computes the contiguous shard of cells
-    /// `first_vertex..first_vertex + dst.len()` of one batched round.
+    /// `first_vertex..first_vertex + dst.len()` of round `round` of trial
+    /// `trial_seed`, given the round-start opinions `src`; a shard
+    /// starting at 0 with `dst.len() == n` is a whole sequential round.
     ///
-    /// This is the scheduling primitive behind both batched steps: a
-    /// round computed as any partition into shards — in any order, on any
-    /// number of threads, each shard with its own scratch — produces
-    /// bit-identical opinions, because every cell's randomness is a pure
-    /// function of `(trial_seed, round, vertex)`.
+    /// This is the scheduling primitive of the engine: a round computed
+    /// as any partition into shards — in any order, on any number of
+    /// threads, each shard with its own scratch — is bit-identical (see
+    /// the module docs). On a rewiring schedule each call resolves the
+    /// round's snapshot afresh; the run loops resolve it once per round.
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() != graph.n()`, the shard range exceeds `n`,
-    /// or a vertex in the shard has no neighbors.
-    pub fn step_batched_shard(
+    /// Panics if `src.len() != n`, the shard range exceeds `n`, or a
+    /// vertex in the shard has no neighbors.
+    pub fn step_shard(
         &self,
         trial_seed: u64,
         round: u64,
@@ -313,9 +511,25 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
         dst: &mut [u32],
         scratch: &mut RoundScratch,
     ) {
+        let mut cursor = self.schedule.cursor();
+        let graph = S::at_round(&mut cursor, round);
+        let rk = round_key(trial_seed, round);
+        self.shard(graph, rk, first_vertex, src, dst, scratch);
+    }
+
+    /// [`GraphSimulation::step_shard`] on an already resolved graph.
+    fn shard(
+        &self,
+        graph: &S::Graph,
+        rk: u64,
+        first_vertex: usize,
+        src: &[u32],
+        dst: &mut [u32],
+        scratch: &mut RoundScratch,
+    ) {
         assert_eq!(
             src.len(),
-            self.graph.n(),
+            graph.n(),
             "step: opinions length must equal the number of vertices"
         );
         assert!(
@@ -326,82 +540,41 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
         let samples = self.protocol.samples_per_vertex();
         assert!(samples > 0, "protocols must gather at least one sample");
         // Dispatch over the common sample counts with literal constants:
-        // each arm inlines `run_batched_cells` with `samples` known at
-        // compile time, so the per-vertex slicing loops unroll and keep
-        // their bounds checks out of the hot path.
+        // each arm inlines `shard_cells` with `samples` known at compile
+        // time, so the per-vertex slicing loops unroll and keep their
+        // bounds checks out of the hot path.
         match samples {
-            1 => self.run_batched_cells(1, trial_seed, round, first_vertex, src, dst, scratch),
-            2 => self.run_batched_cells(2, trial_seed, round, first_vertex, src, dst, scratch),
-            3 => self.run_batched_cells(3, trial_seed, round, first_vertex, src, dst, scratch),
-            s => self.run_batched_cells(s, trial_seed, round, first_vertex, src, dst, scratch),
+            1 => self.shard_cells(graph, 1, rk, first_vertex, src, dst, scratch),
+            2 => self.shard_cells(graph, 2, rk, first_vertex, src, dst, scratch),
+            3 => self.shard_cells(graph, 3, rk, first_vertex, src, dst, scratch),
+            s => self.shard_cells(graph, s, rk, first_vertex, src, dst, scratch),
         }
     }
 
-    /// The three-pass chunk pipeline behind
-    /// [`GraphSimulation::step_batched_shard`]. `inline(always)` so the
-    /// literal-`samples` call sites above each monomorphize a
-    /// constant-stride copy.
+    /// The three-pass chunk pipeline behind [`GraphSimulation::shard`].
+    /// `inline(always)` so the literal-`samples` call sites above each
+    /// monomorphize a constant-stride copy.
     #[allow(clippy::too_many_arguments)] // private hot-path kernel: the args are the loop state
     #[inline(always)]
-    fn run_batched_cells(
+    fn shard_cells(
         &self,
+        graph: &S::Graph,
         samples: usize,
-        trial_seed: u64,
-        round: u64,
+        rk: u64,
         first_vertex: usize,
         src: &[u32],
         dst: &mut [u32],
         scratch: &mut RoundScratch,
     ) {
-        let rk = round_key(trial_seed, round);
         let ck = combine_key(rk);
         scratch.ensure(BATCH_CHUNK.min(dst.len()) * samples, samples);
-        let uniform = self.graph.uniform_degree();
         for (chunk_index, chunk) in dst.chunks_mut(BATCH_CHUNK).enumerate() {
             let base = first_vertex + chunk_index * BATCH_CHUNK;
-            let slots = chunk.len() * samples;
-            let indices = &mut scratch.indices[..slots];
-            let gathered = &mut scratch.gathered[..samples];
+            let indices = &mut scratch.indices[..chunk.len() * samples];
 
-            // Pass 1: all neighbor indices of the chunk, bit-packed
-            // multi-sample draws, no loads off the RNG's critical path.
-            match uniform {
-                Some(d) => {
-                    assert!(d > 0, "vertex {base} has no neighbors");
-                    if d <= MAX_PACKED_RANGE as usize {
-                        let range = d as u32;
-                        let threshold = scratch.thresholds.threshold(range);
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let mut cell = CellRng::for_cell(rk, (base + offset) as u64);
-                            fill_packed(&mut cell, range, threshold, row);
-                        }
-                    } else {
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let mut cell = CellRng::for_cell(rk, (base + offset) as u64);
-                            fill_wide(&mut cell, d as u64, row);
-                        }
-                    }
-                }
-                None => {
-                    // Degree-class handling for irregular graphs: the
-                    // Lemire threshold is a pure function of the degree,
-                    // memoized in a dense per-degree table — an L1-hot
-                    // load per vertex with no data-dependent branch on
-                    // the (unpredictable) degree sequence.
-                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                        let v = base + offset;
-                        let d = self.graph.degree(v);
-                        assert!(d > 0, "vertex {v} has no neighbors");
-                        let mut cell = CellRng::for_cell(rk, v as u64);
-                        if d <= MAX_PACKED_RANGE as usize {
-                            let threshold = scratch.thresholds.threshold(d as u32);
-                            fill_packed(&mut cell, d as u32, threshold, row);
-                        } else {
-                            fill_wide(&mut cell, d as u64, row);
-                        }
-                    }
-                }
-            }
+            // Pass 1: all neighbor indices of the chunk, no loads off the
+            // RNG's critical path.
+            graph.draw_neighbors(rk, base, samples, indices, &mut scratch.thresholds);
 
             // Passes 2 and 3, executed jointly per vertex: gather the
             // sampled opinions (pure loads, no RNG — pass 1 already
@@ -411,69 +584,35 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
             // the scratch traffic without touching either pass's
             // randomness: the combine stream is an independent per-cell
             // stream, never a continuation of the gather.
+            let gathered = &mut scratch.gathered[..samples];
             for ((offset, slot), cell_indices) in chunk
                 .iter_mut()
                 .enumerate()
                 .zip(indices.chunks_exact(samples))
             {
                 let v = base + offset;
-                self.graph.gather_opinions(v, cell_indices, src, gathered);
+                graph.gather_opinions(v, cell_indices, src, gathered);
                 let mut crng = CellRng::for_cell(ck, v as u64);
                 *slot = self.protocol.combine_gathered(src[v], gathered, &mut crng);
             }
         }
     }
 
-    /// Runs the batched pipeline from `initial` until consensus or the
-    /// round cap, double-buffering the opinion arrays and reusing one
-    /// [`RoundScratch`] across rounds.
-    ///
-    /// Bit-identical to [`GraphSimulation::run_batched_par`] for the same
-    /// `trial_seed`.
+    /// Runs from `initial` until consensus or the round cap,
+    /// double-buffering the opinion arrays and reusing one
+    /// [`RoundScratch`] across rounds. Bit-identical to
+    /// [`GraphSimulation::run_par`] for the same `trial_seed`.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
+    /// Panics if `initial` is empty, `initial.len() != n`, or a vertex has
+    /// no neighbors.
     #[must_use]
-    pub fn run_batched(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_batched_until(initial, trial_seed, |_, _| false)
+    pub fn run(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
+        self.run_until(initial, trial_seed, |_, _| false)
     }
 
-    /// Like [`GraphSimulation::run_batched`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_seeded_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_batched_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut scratch = RoundScratch::new();
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
-        })
-    }
-
-    /// Runs sequentially from `initial` until consensus or the round cap,
-    /// double-buffering the opinion arrays (no per-round allocation).
-    ///
-    /// Bit-identical to [`GraphSimulation::run_seeded_par`] for the same
-    /// `trial_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_seeded(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_seeded_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`GraphSimulation::run_seeded`], but also stops (with
+    /// Like [`GraphSimulation::run`], but also stops (with
     /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
     /// holds. The check order mirrors the population engine's
     /// `run_until`: consensus, predicate, round cap — all including
@@ -481,771 +620,95 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
+    /// As [`GraphSimulation::run`].
     #[must_use]
-    pub fn run_seeded_until(
+    pub fn run_until(
         &self,
         initial: &[u32],
         trial_seed: u64,
         stop: impl FnMut(u64, &[u32]) -> bool,
     ) -> GraphRunOutcome {
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq(trial_seed, round, src, dst);
+        let mut scratch = RoundScratch::new();
+        self.run_rounds(initial, stop, |graph, round, src, dst| {
+            let rk = round_key(trial_seed, round);
+            self.shard(graph, rk, 0, src, dst, &mut scratch);
         })
     }
-
-    fn run_buffered(
-        &self,
-        initial: &[u32],
-        stop: impl FnMut(u64, &[u32]) -> bool,
-        step: impl FnMut(u64, &[u32], &mut [u32]),
-    ) -> GraphRunOutcome {
-        run_buffered_dynamics(self.graph.n(), self.max_rounds, initial, stop, step)
-    }
 }
 
-/// The double-buffered round loop shared by every seeded engine — static
-/// graphs ([`GraphSimulation`]) and temporal schedules
-/// ([`TemporalSimulation`]) alike. Check order per round: consensus,
-/// stop predicate, round cap — all including round 0.
-fn run_buffered_dynamics(
-    n: usize,
-    max_rounds: u64,
-    initial: &[u32],
-    mut stop: impl FnMut(u64, &[u32]) -> bool,
-    mut step: impl FnMut(u64, &[u32], &mut [u32]),
-) -> GraphRunOutcome {
-    assert!(
-        !initial.is_empty(),
-        "run: initial opinions must be non-empty"
-    );
-    assert_eq!(
-        initial.len(),
-        n,
-        "run: opinions length must equal the number of vertices"
-    );
-    let mut current = initial.to_vec();
-    let mut next = vec![0u32; initial.len()];
-    let mut rounds: u64 = 0;
-    loop {
-        let first = current[0];
-        if current.iter().all(|&o| o == first) {
-            return GraphRunOutcome {
-                rounds,
-                winner: Some(first as usize),
-                reason: StopReason::Consensus,
-                final_opinions: current,
-            };
-        }
-        if stop(rounds, &current) {
-            return GraphRunOutcome {
-                rounds,
-                winner: None,
-                reason: StopReason::Predicate,
-                final_opinions: current,
-            };
-        }
-        if rounds >= max_rounds {
-            return GraphRunOutcome {
-                rounds,
-                winner: None,
-                reason: StopReason::RoundLimit,
-                final_opinions: current,
-            };
-        }
-        step(rounds, &current, &mut next);
-        std::mem::swap(&mut current, &mut next);
-        rounds += 1;
-    }
-}
-
-impl<P: GraphProtocol, G: WeightedGraph> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` through the
-    /// **weighted** batched three-pass pipeline, sequentially: pass 1
-    /// draws *weight points* in `[0, W_v)` (the documented batched order
-    /// with `range = W_v`, the row's total weight) and resolves them to
-    /// row-local neighbor indices through the graph's prefix sums
-    /// ([`WeightedGraph::resolve_points`]); passes 2 and 3 are the
-    /// unweighted gather + combine, untouched.
-    ///
-    /// With all-one weights (`W_v = degree(v)`) this is bit-identical to
-    /// [`GraphSimulation::step_seq_batched`].
+impl<P: GraphProtocol + Sync, S: GraphSchedule + Sync> GraphSimulation<P, S>
+where
+    S::Graph: Sync,
+{
+    /// Computes round `round` of trial `trial_seed` on rayon: one
+    /// [`GraphSimulation::step_shard`] per worker thread, each with a
+    /// scratch drawn from `pool`. Bit-identical to the sequential round
+    /// for every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_seq_weighted(
+    /// Panics if `src.len() != n`, `src.len() != dst.len()`, or a vertex
+    /// has no neighbors.
+    pub fn step_par(
         &self,
         trial_seed: u64,
         round: u64,
         src: &[u32],
         dst: &mut [u32],
-        scratch: &mut RoundScratch,
+        pool: &ScratchPool,
     ) {
-        self.assert_lengths(src, dst);
-        self.step_weighted_shard(trial_seed, round, 0, src, dst, scratch);
+        let mut cursor = self.schedule.cursor();
+        let graph = S::at_round(&mut cursor, round);
+        let rk = round_key(trial_seed, round);
+        self.par_round(graph, rk, src, dst, pool);
     }
 
-    /// Computes the contiguous shard of cells
-    /// `first_vertex..first_vertex + dst.len()` of one weighted batched
-    /// round — the scheduling primitive of the weighted engine, with the
-    /// same partition-invariance contract as
-    /// [`GraphSimulation::step_batched_shard`]: any shard composition,
-    /// thread count, or scratch assignment is bit-identical, because a
-    /// cell's point stream and the point → index map are both pure
-    /// functions of `(trial_seed, round, vertex)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or the shard range exceeds `n`
-    /// (zero-weight rows cannot exist on a validly constructed weighted
-    /// graph).
-    pub fn step_weighted_shard(
+    /// [`GraphSimulation::step_par`] on an already resolved graph.
+    fn par_round(
         &self,
-        trial_seed: u64,
-        round: u64,
-        first_vertex: usize,
+        graph: &S::Graph,
+        rk: u64,
         src: &[u32],
         dst: &mut [u32],
-        scratch: &mut RoundScratch,
+        pool: &ScratchPool,
     ) {
+        // Checked on the coordinating thread, so a bad call panics with
+        // its own message rather than a worker's.
         assert_eq!(
             src.len(),
-            self.graph.n(),
+            graph.n(),
             "step: opinions length must equal the number of vertices"
         );
-        assert!(
-            first_vertex + dst.len() <= src.len(),
-            "step: shard {first_vertex}..{} exceeds the vertex range",
-            first_vertex + dst.len()
-        );
-        let samples = self.protocol.samples_per_vertex();
-        assert!(samples > 0, "protocols must gather at least one sample");
-        match samples {
-            1 => self.run_weighted_cells(1, trial_seed, round, first_vertex, src, dst, scratch),
-            2 => self.run_weighted_cells(2, trial_seed, round, first_vertex, src, dst, scratch),
-            3 => self.run_weighted_cells(3, trial_seed, round, first_vertex, src, dst, scratch),
-            s => self.run_weighted_cells(s, trial_seed, round, first_vertex, src, dst, scratch),
-        }
-    }
-
-    /// The weighted three-pass chunk pipeline behind
-    /// [`GraphSimulation::step_weighted_shard`] — structurally the
-    /// unweighted kernel with the pass-1 range swapped from the degree
-    /// to the row weight, plus the in-place point resolution.
-    #[allow(clippy::too_many_arguments)] // private hot-path kernel: the args are the loop state
-    #[inline(always)]
-    fn run_weighted_cells(
-        &self,
-        samples: usize,
-        trial_seed: u64,
-        round: u64,
-        first_vertex: usize,
-        src: &[u32],
-        dst: &mut [u32],
-        scratch: &mut RoundScratch,
-    ) {
-        let rk = round_key(trial_seed, round);
-        let ck = combine_key(rk);
-        scratch.ensure(BATCH_CHUNK.min(dst.len()) * samples, samples);
-        let uniform_weight = self.graph.uniform_row_weight();
-        for (chunk_index, chunk) in dst.chunks_mut(BATCH_CHUNK).enumerate() {
-            let base = first_vertex + chunk_index * BATCH_CHUNK;
-            let slots = chunk.len() * samples;
-            let indices = &mut scratch.indices[..slots];
-            let gathered = &mut scratch.gathered[..samples];
-
-            // Pass 1: weight points for every cell of the chunk, resolved
-            // to row-local neighbor indices in place. Resolution happens
-            // per row while the freshly drawn points are still in
-            // registers/L1, before the next cell's RNG work.
-            match uniform_weight {
-                Some(w) => {
-                    debug_assert!(w > 0, "weighted rows are validated positive");
-                    if w <= u64::from(MAX_PACKED_RANGE) {
-                        // Row weights range up to 2²¹, so the dense
-                        // per-range memo the degree path uses would
-                        // allocate megabytes to cache single divisions;
-                        // the hoisted (uniform) and per-vertex
-                        // (irregular) thresholds are computed directly.
-                        let range = w as u32;
-                        let threshold = packed_threshold(range);
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let v = base + offset;
-                            let mut cell = CellRng::for_cell(rk, v as u64);
-                            fill_packed(&mut cell, range, threshold, row);
-                            self.graph.resolve_points(v, row);
-                        }
-                    } else {
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let v = base + offset;
-                            let mut cell = CellRng::for_cell(rk, v as u64);
-                            fill_wide(&mut cell, w, row);
-                            self.graph.resolve_points(v, row);
-                        }
-                    }
-                }
-                None => {
-                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                        let v = base + offset;
-                        let w = self.graph.row_weight(v);
-                        debug_assert!(w > 0, "weighted rows are validated positive");
-                        let mut cell = CellRng::for_cell(rk, v as u64);
-                        if w <= u64::from(MAX_PACKED_RANGE) {
-                            let threshold = packed_threshold(w as u32);
-                            fill_packed(&mut cell, w as u32, threshold, row);
-                        } else {
-                            fill_wide(&mut cell, w, row);
-                        }
-                        self.graph.resolve_points(v, row);
-                    }
-                }
-            }
-
-            // Passes 2 and 3: identical to the unweighted pipeline — the
-            // resolved indices are ordinary row-local neighbor indices.
-            for ((offset, slot), cell_indices) in chunk
-                .iter_mut()
-                .enumerate()
-                .zip(indices.chunks_exact(samples))
-            {
-                let v = base + offset;
-                self.graph.gather_opinions(v, cell_indices, src, gathered);
-                let mut crng = CellRng::for_cell(ck, v as u64);
-                *slot = self.protocol.combine_gathered(src[v], gathered, &mut crng);
-            }
-        }
-    }
-
-    /// Runs the weighted pipeline from `initial` until consensus or the
-    /// round cap. Bit-identical to
-    /// [`GraphSimulation::run_weighted_par`] for the same `trial_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_weighted_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`GraphSimulation::run_weighted`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_batched_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut scratch = RoundScratch::new();
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq_weighted(trial_seed, round, src, dst, &mut scratch);
-        })
-    }
-}
-
-impl<P: GraphProtocol + Sync, G: WeightedGraph + Sync> GraphSimulation<P, G> {
-    /// Computes one weighted batched round on rayon, drawing per-chunk
-    /// scratch buffers from `pool`. Bit-identical to
-    /// [`GraphSimulation::step_seq_weighted`] for every thread count and
-    /// chunk schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_par_weighted(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        src: &[u32],
-        dst: &mut [u32],
-        pool: &ScratchPool,
-    ) {
-        self.assert_lengths(src, dst);
-        dst.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                let mut scratch = pool.acquire();
-                self.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    chunk_index * PAR_CHUNK,
-                    src,
-                    chunk,
-                    &mut scratch,
-                );
-                pool.release(scratch);
-            });
-    }
-
-    /// Runs the weighted pipeline with rayon-parallel rounds.
-    /// Bit-identical to [`GraphSimulation::run_weighted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let pool = ScratchPool::new();
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par_weighted(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
-}
-
-impl<P: GraphProtocol + Sync, G: Graph + Sync> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` on rayon.
-    ///
-    /// Bit-identical to [`GraphSimulation::step_seq`] for every thread
-    /// count: each `(round, vertex)` cell derives its randomness
-    /// independently of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_par(&self, trial_seed: u64, round: u64, src: &[u32], dst: &mut [u32]) {
-        self.assert_lengths(src, dst);
-        let rk = round_key(trial_seed, round);
-        dst.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                self.step_cells(rk, chunk_index * PAR_CHUNK, src, chunk);
-            });
-    }
-
-    /// Runs with parallel rounds from `initial` until consensus or the
-    /// round cap. Bit-identical to [`GraphSimulation::run_seeded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_seeded_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par(trial_seed, round, src, dst);
-            },
-        )
-    }
-
-    /// Computes round `round` of trial `trial_seed` through the batched
-    /// three-pass pipeline on rayon, drawing per-chunk scratch buffers
-    /// from `pool`.
-    ///
-    /// Bit-identical to [`GraphSimulation::step_seq_batched`] for every
-    /// thread count and chunk schedule: each work unit is a
-    /// [`GraphSimulation::step_batched_shard`] over an interval, and cell
-    /// randomness is independent of the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
-    /// a vertex has no neighbors.
-    pub fn step_par_batched(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        src: &[u32],
-        dst: &mut [u32],
-        pool: &ScratchPool,
-    ) {
-        self.assert_lengths(src, dst);
-        dst.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                let mut scratch = pool.acquire();
-                self.step_batched_shard(
-                    trial_seed,
-                    round,
-                    chunk_index * PAR_CHUNK,
-                    src,
-                    chunk,
-                    &mut scratch,
-                );
-                pool.release(scratch);
-            });
-    }
-
-    /// Runs the batched pipeline with rayon-parallel rounds from
-    /// `initial` until consensus or the round cap. Bit-identical to
-    /// [`GraphSimulation::run_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let pool = ScratchPool::new();
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par_batched(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
-}
-
-impl<P: SyncProtocol, G: Graph> GraphSimulation<P, G> {
-    /// Performs one synchronous round in place, consuming the shared RNG
-    /// stream vertex-by-vertex (the original engine; see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opinions.len() != graph.n()`.
-    pub fn step(&self, opinions: &mut [u32], rng: &mut dyn RngCore) {
         assert_eq!(
-            opinions.len(),
-            self.graph.n(),
-            "step: opinions length must equal the number of vertices"
+            src.len(),
+            dst.len(),
+            "step: source and destination buffers must have equal length"
         );
-        let old = opinions.to_vec();
-        for (v, slot) in opinions.iter_mut().enumerate() {
-            let source = NeighborSource {
-                graph: &self.graph,
-                vertex: v,
-                opinions: &old,
-            };
-            *slot = self.protocol.update_one(old[v], &source, rng);
-        }
+        let shard_len = dst.len().div_ceil(rayon::current_num_threads()).max(1);
+        dst.par_chunks_mut(shard_len)
+            .enumerate()
+            .for_each(|(shard_index, shard)| {
+                let mut scratch = pool.acquire();
+                self.shard(graph, rk, shard_index * shard_len, src, shard, &mut scratch);
+                pool.release(scratch);
+            });
     }
 
-    /// Runs the stream-seeded engine until all vertices agree or the
-    /// round cap is reached.
+    /// Runs with rayon-parallel rounds from `initial` until consensus or
+    /// the round cap. Snapshot resolution happens once per round on the
+    /// coordinating thread. Bit-identical to [`GraphSimulation::run`].
     ///
     /// # Panics
     ///
-    /// Panics if `initial.len() != graph.n()` or `initial` is empty.
-    pub fn run(&self, initial: &[u32], rng: &mut dyn RngCore) -> GraphRunOutcome {
-        assert!(
-            !initial.is_empty(),
-            "run: initial opinions must be non-empty"
-        );
-        let mut opinions = initial.to_vec();
-        let mut rounds: u64 = 0;
-        loop {
-            if let Some(&first) = opinions.first() {
-                if opinions.iter().all(|&o| o == first) {
-                    return GraphRunOutcome {
-                        rounds,
-                        winner: Some(first as usize),
-                        reason: StopReason::Consensus,
-                        final_opinions: opinions,
-                    };
-                }
-            }
-            if rounds >= self.max_rounds {
-                return GraphRunOutcome {
-                    rounds,
-                    winner: None,
-                    reason: StopReason::RoundLimit,
-                    final_opinions: opinions,
-                };
-            }
-            self.step(&mut opinions, rng);
-            rounds += 1;
-        }
-    }
-
-    /// Tallies per-vertex opinions into a configuration with `k` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an opinion index is `>= k`.
+    /// As [`GraphSimulation::run`].
     #[must_use]
-    pub fn tally(&self, opinions: &[u32], k: usize) -> OpinionCounts {
-        tally(opinions, k)
-    }
-}
-
-/// Synchronous dynamics on a **temporal** graph: each round `r` runs the
-/// batched three-pass pipeline on the snapshot
-/// [`TemporalGraph`] schedules for `r` (periodic switching or seeded
-/// per-epoch rewiring).
-///
-/// Because the snapshot in force is a pure function of the round and the
-/// per-cell randomness is a pure function of `(trial_seed, round,
-/// vertex)`, every guarantee of the static engine carries over: the
-/// rayon-parallel round is bit-identical to the sequential one at any
-/// thread count, and any shard partition of a round reproduces it
-/// exactly. Each run steps its own [`od_graphs::TemporalView`], so
-/// concurrent trials at different rounds never contend on snapshot
-/// generation.
-///
-/// # Examples
-///
-/// ```
-/// use od_core::{protocol::ThreeMajority, TemporalSimulation};
-/// use od_graphs::{cycle, star, TemporalGraph};
-/// let schedule = TemporalGraph::periodic(vec![star(60), cycle(60)], 4).unwrap();
-/// let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
-/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
-/// let out = sim.run_batched(&initial, 7);
-/// assert_eq!(out, sim.run_batched_par(&initial, 7)); // bit-identical
-/// ```
-#[derive(Debug)]
-pub struct TemporalSimulation<'a, P> {
-    protocol: P,
-    graph: &'a TemporalGraph,
-    max_rounds: u64,
-}
-
-impl<'a, P> TemporalSimulation<'a, P> {
-    /// Creates a simulation of `protocol` over the temporal `graph`.
-    #[must_use]
-    pub fn new(protocol: P, graph: &'a TemporalGraph) -> Self {
-        Self {
-            protocol,
-            graph,
-            max_rounds: DEFAULT_MAX_ROUNDS,
-        }
-    }
-
-    /// Sets the round cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds == 0`.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        assert!(max_rounds > 0, "with_max_rounds: cap must be positive");
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// The underlying schedule.
-    #[must_use]
-    pub fn graph(&self) -> &TemporalGraph {
-        self.graph
-    }
-}
-
-impl<P: GraphProtocol> TemporalSimulation<'_, P> {
-    /// Runs the batched pipeline over the schedule from `initial` until
-    /// consensus or the round cap, reusing one [`RoundScratch`] across
-    /// rounds and snapshots. Bit-identical to
-    /// [`TemporalSimulation::run_batched_par`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty, `initial.len() != graph.n()`, or a
-    /// snapshot contains an isolated vertex.
-    #[must_use]
-    pub fn run_batched(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_batched_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`TemporalSimulation::run_batched`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_batched_until`].
-    ///
-    /// # Panics
-    ///
-    /// As [`TemporalSimulation::run_batched`].
-    #[must_use]
-    pub fn run_batched_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut view = self.graph.view();
-        let mut scratch = RoundScratch::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            stop,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round)).step_seq_batched(
-                    trial_seed,
-                    round,
-                    src,
-                    dst,
-                    &mut scratch,
-                );
-            },
-        )
-    }
-}
-
-impl<P: GraphProtocol + Sync> TemporalSimulation<'_, P> {
-    /// Runs the batched pipeline over the schedule with rayon-parallel
-    /// rounds. Bit-identical to [`TemporalSimulation::run_batched`]:
-    /// snapshot resolution happens once per round on the coordinating
-    /// thread, and the parallel round step is partition-invariant.
-    ///
-    /// # Panics
-    ///
-    /// As [`TemporalSimulation::run_batched`].
-    #[must_use]
-    pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let mut view = self.graph.view();
+    pub fn run_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
         let pool = ScratchPool::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
+        self.run_rounds(
             initial,
             |_, _| false,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round))
-                    .step_par_batched(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
-}
-
-/// Synchronous dynamics on a **weighted temporal** graph — the combined
-/// scenario: each round `r` runs the weighted batched three-pass
-/// pipeline on the [`od_graphs::WeightedCsrGraph`] snapshot a
-/// [`WeightedTemporalGraph`] schedules for `r`, so both the edge set
-/// *and* the weight rows (hence the point ranges `W_v` and the
-/// point → index maps) follow the schedule.
-///
-/// All determinism guarantees compose: the snapshot in force is a pure
-/// function of the round, the per-cell point stream is a pure function
-/// of `(trial_seed, round, vertex)`, and the resolution map is a pure
-/// function of the snapshot's weight rows — so sequential, sharded, and
-/// rayon execution at any thread count are bit-identical, exactly as
-/// for [`TemporalSimulation`] and the static weighted engine.
-///
-/// # Examples
-///
-/// ```
-/// use od_core::{protocol::ThreeMajority, WeightedTemporalSimulation};
-/// use od_graphs::{cycle, star, WeightedCsrGraph, WeightedTemporalGraph};
-/// let snapshots = vec![
-///     WeightedCsrGraph::from_csr_uniform(star(60), 3).unwrap(),
-///     WeightedCsrGraph::from_csr_with(cycle(60), |u, v| (u + v + 1) as u32).unwrap(),
-/// ];
-/// let schedule = WeightedTemporalGraph::periodic(snapshots, 4).unwrap();
-/// let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
-/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
-/// let out = sim.run_weighted(&initial, 7);
-/// assert_eq!(out, sim.run_weighted_par(&initial, 7)); // bit-identical
-/// ```
-#[derive(Debug)]
-pub struct WeightedTemporalSimulation<'a, P> {
-    protocol: P,
-    graph: &'a WeightedTemporalGraph,
-    max_rounds: u64,
-}
-
-impl<'a, P> WeightedTemporalSimulation<'a, P> {
-    /// Creates a simulation of `protocol` over the weighted temporal
-    /// `graph`.
-    #[must_use]
-    pub fn new(protocol: P, graph: &'a WeightedTemporalGraph) -> Self {
-        Self {
-            protocol,
-            graph,
-            max_rounds: DEFAULT_MAX_ROUNDS,
-        }
-    }
-
-    /// Sets the round cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds == 0`.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        assert!(max_rounds > 0, "with_max_rounds: cap must be positive");
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// The underlying schedule.
-    #[must_use]
-    pub fn graph(&self) -> &WeightedTemporalGraph {
-        self.graph
-    }
-}
-
-impl<P: GraphProtocol> WeightedTemporalSimulation<'_, P> {
-    /// Runs the weighted pipeline over the schedule from `initial`
-    /// until consensus or the round cap, reusing one [`RoundScratch`]
-    /// across rounds and snapshots. Bit-identical to
-    /// [`WeightedTemporalSimulation::run_weighted_par`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_weighted_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`WeightedTemporalSimulation::run_weighted`], but also
-    /// stops (with [`StopReason::Predicate`]) as soon as
-    /// `stop(round, opinions)` holds. Check order matches
-    /// [`GraphSimulation::run_batched_until`].
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightedTemporalSimulation::run_weighted`].
-    #[must_use]
-    pub fn run_weighted_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut view = self.graph.view();
-        let mut scratch = RoundScratch::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            stop,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round)).step_seq_weighted(
-                    trial_seed,
-                    round,
-                    src,
-                    dst,
-                    &mut scratch,
-                );
-            },
-        )
-    }
-}
-
-impl<P: GraphProtocol + Sync> WeightedTemporalSimulation<'_, P> {
-    /// Runs the weighted pipeline over the schedule with rayon-parallel
-    /// rounds, drawing scratch buffers from a [`ScratchPool`].
-    /// Bit-identical to [`WeightedTemporalSimulation::run_weighted`]:
-    /// snapshot resolution happens once per round on the coordinating
-    /// thread, and the weighted parallel round step is
-    /// partition-invariant.
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightedTemporalSimulation::run_weighted`].
-    #[must_use]
-    pub fn run_weighted_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let mut view = self.graph.view();
-        let pool = ScratchPool::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round))
-                    .step_par_weighted(trial_seed, round, src, dst, &pool);
+            |graph, round, src, dst| {
+                self.par_round(graph, round_key(trial_seed, round), src, dst, &pool);
             },
         )
     }
@@ -1255,86 +718,24 @@ impl<P: GraphProtocol + Sync> WeightedTemporalSimulation<'_, P> {
 mod tests {
     use super::*;
     use crate::protocol::{ThreeMajority, TwoChoices};
-    use od_graphs::{cycle, random_regular, CompleteWithSelfLoops};
+    use od_graphs::{cycle, random_regular, TemporalGraph, WeightedTemporalGraph};
     use od_sampling::rng_for;
 
-    #[test]
-    fn complete_graph_agrees_with_population_engine_in_expectation() {
-        // On the complete graph with self-loops, the graph engine is the
-        // same process as the population engine: compare mean one-round
-        // fractions.
-        let n = 300usize;
-        let g = CompleteWithSelfLoops::new(n);
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 180)).collect(); // 60/40
-        let trials = 2000;
-        let mut rng = rng_for(180, 0);
-        let mut mean0 = 0.0;
-        for _ in 0..trials {
-            let mut ops = initial.clone();
-            sim.step(&mut ops, &mut rng);
-            mean0 += ops.iter().filter(|&&o| o == 0).count() as f64 / n as f64;
-        }
-        mean0 /= trials as f64;
-        // E[α'(0)] = α(1 + α − γ) with α = 0.6, γ = 0.52.
-        let want = 0.6 * (1.0 + 0.6 - 0.52);
-        assert!((mean0 - want).abs() < 5e-3, "{mean0} vs {want}");
-    }
-
-    #[test]
-    fn cell_seeded_step_agrees_with_population_engine_in_expectation() {
-        // The new engine must drive the same process: mean one-round
-        // fractions on the complete graph match eq. (5).
-        let n = 300usize;
-        let g = CompleteWithSelfLoops::new(n);
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 180)).collect(); // 60/40
-        let trials = 2000u64;
-        let mut mean0 = 0.0;
-        let mut dst = vec![0u32; n];
-        for trial in 0..trials {
-            sim.step_seq(trial, 0, &initial, &mut dst);
-            mean0 += dst.iter().filter(|&&o| o == 0).count() as f64 / n as f64;
-        }
-        mean0 /= trials as f64;
-        let want = 0.6 * (1.0 + 0.6 - 0.52);
-        assert!((mean0 - want).abs() < 5e-3, "{mean0} vs {want}");
-    }
-
-    #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
-        let mut rng = rng_for(185, 0);
-        let g = random_regular(1000, 8, &mut rng).unwrap();
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..1000).map(|v| (v % 7) as u32).collect();
-        let mut seq = vec![0u32; 1000];
-        let mut par = vec![0u32; 1000];
-        for round in 0..5 {
-            sim.step_seq(99, round, &initial, &mut seq);
-            sim.step_par(99, round, &initial, &mut par);
-            assert_eq!(seq, par, "round {round}");
-        }
-    }
-
-    #[test]
-    fn seeded_runs_are_reproducible_and_par_matches_seq() {
-        let mut rng = rng_for(186, 0);
-        let g = random_regular(300, 6, &mut rng).unwrap();
-        let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(5_000);
-        let initial: Vec<u32> = (0..300).map(|v| u32::from(v >= 210)).collect(); // 70/30
-        let a = sim.run_seeded(&initial, 42);
-        let b = sim.run_seeded(&initial, 42);
-        let c = sim.run_seeded_par(&initial, 42);
-        assert_eq!(a, b, "sequential runs must be reproducible");
-        assert_eq!(a, c, "parallel run must be bit-identical to sequential");
-        assert_eq!(a.reason, StopReason::Consensus);
-        assert_eq!(a.winner, Some(0));
+    /// One whole sequential round.
+    fn step<P: GraphProtocol, S: GraphSchedule>(
+        sim: &GraphSimulation<P, S>,
+        trial_seed: u64,
+        round: u64,
+        src: &[u32],
+        dst: &mut [u32],
+    ) {
+        sim.step_shard(trial_seed, round, 0, src, dst, &mut RoundScratch::new());
     }
 
     #[test]
     fn batched_step_agrees_with_population_engine_in_expectation() {
-        // The batched pipeline must drive the same process as eq. (5):
-        // mean one-round fractions on the complete graph.
+        // The kernel must drive the same process as eq. (5): mean
+        // one-round fractions on the complete graph.
         let n = 300usize;
         let g = CompleteWithSelfLoops::new(n);
         let sim = GraphSimulation::new(ThreeMajority, g);
@@ -1344,10 +745,11 @@ mod tests {
         let mut dst = vec![0u32; n];
         let mut scratch = RoundScratch::new();
         for trial in 0..trials {
-            sim.step_seq_batched(trial, 0, &initial, &mut dst, &mut scratch);
+            sim.step_shard(trial, 0, 0, &initial, &mut dst, &mut scratch);
             mean0 += dst.iter().filter(|&&o| o == 0).count() as f64 / n as f64;
         }
         mean0 /= trials as f64;
+        // E[α'(0)] = α(1 + α − γ) with α = 0.6, γ = 0.52.
         let want = 0.6 * (1.0 + 0.6 - 0.52);
         assert!((mean0 - want).abs() < 5e-3, "{mean0} vs {want}");
     }
@@ -1360,18 +762,17 @@ mod tests {
         let initial: Vec<u32> = (0..1000).map(|v| (v % 7) as u32).collect();
         let mut seq = vec![0u32; 1000];
         let mut par = vec![0u32; 1000];
-        let mut scratch = RoundScratch::new();
         let pool = ScratchPool::new();
         for round in 0..5 {
-            sim.step_seq_batched(99, round, &initial, &mut seq, &mut scratch);
-            sim.step_par_batched(99, round, &initial, &mut par, &pool);
+            step(&sim, 99, round, &initial, &mut seq);
+            sim.step_par(99, round, &initial, &mut par, &pool);
             assert_eq!(seq, par, "round {round}");
             // An uneven 3-shard partition with fresh scratches must also
             // reproduce the same round.
             let mut sharded = vec![0u32; 1000];
             for (start, end) in [(0usize, 70), (70, 707), (707, 1000)] {
                 let mut shard_scratch = RoundScratch::new();
-                sim.step_batched_shard(
+                sim.step_shard(
                     99,
                     round,
                     start,
@@ -1390,11 +791,11 @@ mod tests {
         let g = random_regular(300, 6, &mut rng).unwrap();
         let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..300).map(|v| u32::from(v >= 210)).collect(); // 70/30
-        let a = sim.run_batched(&initial, 42);
-        let b = sim.run_batched(&initial, 42);
-        let c = sim.run_batched_par(&initial, 42);
-        assert_eq!(a, b, "batched runs must be reproducible");
-        assert_eq!(a, c, "parallel batched run must match sequential");
+        let a = sim.run(&initial, 42);
+        let b = sim.run(&initial, 42);
+        let c = sim.run_par(&initial, 42);
+        assert_eq!(a, b, "runs must be reproducible");
+        assert_eq!(a, c, "parallel run must match sequential");
         assert_eq!(a.reason, StopReason::Consensus);
         assert_eq!(a.winner, Some(0));
     }
@@ -1402,14 +803,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no neighbors")]
     fn batched_step_rejects_isolated_vertices() {
-        use od_graphs::CsrGraph;
         // Vertex 2 is isolated (self-loop-only vertex 0 keeps it legal
         // at construction time).
         let g = CsrGraph::from_edges(3, &[(0, 1)]);
         let sim = GraphSimulation::new(ThreeMajority, g);
         let src = vec![0u32, 1, 0];
         let mut dst = vec![0u32; 3];
-        sim.step_seq_batched(0, 0, &src, &mut dst, &mut RoundScratch::new());
+        step(&sim, 0, 0, &src, &mut dst);
     }
 
     #[test]
@@ -1419,16 +819,15 @@ mod tests {
         let sim = GraphSimulation::new(ThreeMajority, g);
         let src = vec![0u32; 10];
         let mut dst = vec![0u32; 5];
-        sim.step_batched_shard(0, 0, 6, &src, &mut dst, &mut RoundScratch::new());
+        sim.step_shard(0, 0, 6, &src, &mut dst, &mut RoundScratch::new());
     }
 
     #[test]
     fn unit_weights_are_bit_identical_to_the_unweighted_pipeline() {
-        // The strong anchor tying the weighted engine to the unweighted
-        // one: with all-one weights, W_v = degree(v), the point stream is
-        // the index stream, and resolution is the identity — whole rounds
+        // The strong anchor tying the weighted draw to the plain one:
+        // with all-one weights, W_v = degree(v), the point stream is the
+        // index stream, and resolution is the identity — whole rounds
         // must agree bit-for-bit.
-        use od_graphs::WeightedCsrGraph;
         let mut rng = rng_for(190, 0);
         let csr = random_regular(600, 6, &mut rng).unwrap();
         let weighted = WeightedCsrGraph::from_csr_uniform(csr.clone(), 1).unwrap();
@@ -1437,22 +836,19 @@ mod tests {
         let initial: Vec<u32> = (0..600).map(|v| (v % 5) as u32).collect();
         let mut plain = vec![0u32; 600];
         let mut weighty = vec![0u32; 600];
-        let mut s1 = RoundScratch::new();
-        let mut s2 = RoundScratch::new();
         for round in 0..5 {
-            plain_sim.step_seq_batched(41, round, &initial, &mut plain, &mut s1);
-            weighted_sim.step_seq_weighted(41, round, &initial, &mut weighty, &mut s2);
+            step(&plain_sim, 41, round, &initial, &mut plain);
+            step(&weighted_sim, 41, round, &initial, &mut weighty);
             assert_eq!(plain, weighty, "round {round}");
         }
         // And the run loops agree end to end.
-        let a = plain_sim.run_batched(&initial, 42);
-        let b = weighted_sim.run_weighted(&initial, 42);
+        let a = plain_sim.run(&initial, 42);
+        let b = weighted_sim.run(&initial, 42);
         assert_eq!(a, b);
     }
 
     #[test]
     fn weighted_parallel_and_shards_are_bit_identical_to_sequential() {
-        use od_graphs::WeightedCsrGraph;
         let mut rng = rng_for(191, 0);
         let csr = random_regular(1000, 8, &mut rng).unwrap();
         // Asymmetric weights (pure function of the unordered pair).
@@ -1462,16 +858,15 @@ mod tests {
         let initial: Vec<u32> = (0..1000).map(|v| (v % 7) as u32).collect();
         let mut seq = vec![0u32; 1000];
         let mut par = vec![0u32; 1000];
-        let mut scratch = RoundScratch::new();
         let pool = ScratchPool::new();
         for round in 0..5 {
-            sim.step_seq_weighted(99, round, &initial, &mut seq, &mut scratch);
-            sim.step_par_weighted(99, round, &initial, &mut par, &pool);
+            step(&sim, 99, round, &initial, &mut seq);
+            sim.step_par(99, round, &initial, &mut par, &pool);
             assert_eq!(seq, par, "round {round}");
             let mut sharded = vec![0u32; 1000];
             for (start, end) in [(0usize, 70), (70, 707), (707, 1000)] {
                 let mut shard_scratch = RoundScratch::new();
-                sim.step_weighted_shard(
+                sim.step_shard(
                     99,
                     round,
                     start,
@@ -1491,7 +886,6 @@ mod tests {
         // near-deterministic copying — weighted sampling must actually
         // bias the draws, not just match references.
         use crate::protocol::Voter;
-        use od_graphs::{CsrGraph, WeightedCsrGraph};
         let csr = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         // Weight of edge {v, v+1}: 1. Edge {3, 0} heavy: 1_000_000.
         let g = WeightedCsrGraph::from_csr_with(csr, |u, v| {
@@ -1512,7 +906,7 @@ mod tests {
         let trials = 2_000u64;
         let mut copied = 0u64;
         for trial in 0..trials {
-            sim.step_seq_weighted(trial, 0, &initial, &mut dst, &mut scratch);
+            sim.step_shard(trial, 0, 0, &initial, &mut dst, &mut scratch);
             copied += u64::from(dst[0] == 2);
         }
         let frac = copied as f64 / trials as f64;
@@ -1527,7 +921,7 @@ mod tests {
         // The resolution strategy is a pure post-processing choice: whole
         // weighted rounds must agree bit-for-bit between the alias-index
         // and prefix-search (u32 and u16) backed graphs.
-        use od_graphs::{WeightResolver, WeightedCsrGraph};
+        use od_graphs::WeightResolver;
         let mut rng = rng_for(194, 0);
         let csr = random_regular(800, 8, &mut rng).unwrap();
         let weight = |u: usize, v: usize| ((u * 31 + v * 7) % 13 + 1) as u32;
@@ -1541,9 +935,9 @@ mod tests {
             WeightedCsrGraph::from_csr_with_resolver(csr, weight, WeightResolver::PrefixU16)
                 .unwrap();
         let initial: Vec<u32> = (0..800).map(|v| (v % 6) as u32).collect();
-        let a = GraphSimulation::new(ThreeMajority, &alias).run_weighted(&initial, 55);
-        let b = GraphSimulation::new(ThreeMajority, &prefix).run_weighted(&initial, 55);
-        let c = GraphSimulation::new(ThreeMajority, &prefix16).run_weighted(&initial, 55);
+        let a = GraphSimulation::new(ThreeMajority, &alias).run(&initial, 55);
+        let b = GraphSimulation::new(ThreeMajority, &prefix).run(&initial, 55);
+        let c = GraphSimulation::new(ThreeMajority, &prefix16).run(&initial, 55);
         assert_eq!(a, b, "alias vs u32 prefix diverged");
         assert_eq!(a, c, "alias vs u16 prefix diverged");
     }
@@ -1551,9 +945,7 @@ mod tests {
     #[test]
     fn weighted_temporal_unit_weights_match_the_unweighted_schedule() {
         // All-one weighted snapshots must reproduce the plain temporal
-        // engine bit-for-bit — the combined scenario's anchor to the
-        // existing engines.
-        use od_graphs::{TemporalGraph, WeightedCsrGraph, WeightedTemporalGraph};
+        // schedule bit-for-bit — the combined scenario's anchor.
         let mut rng = rng_for(195, 0);
         let snap_a = random_regular(300, 6, &mut rng).unwrap();
         let snap_b = cycle(300);
@@ -1567,18 +959,17 @@ mod tests {
         )
         .unwrap();
         let initial: Vec<u32> = (0..300).map(|v| u32::from(v >= 210)).collect();
-        let p = TemporalSimulation::new(ThreeMajority, &plain)
+        let p = GraphSimulation::new(ThreeMajority, &plain)
             .with_max_rounds(5_000)
-            .run_batched(&initial, 42);
-        let w = WeightedTemporalSimulation::new(ThreeMajority, &weighted)
+            .run(&initial, 42);
+        let w = GraphSimulation::new(ThreeMajority, &weighted)
             .with_max_rounds(5_000)
-            .run_weighted(&initial, 42);
+            .run(&initial, 42);
         assert_eq!(p, w);
     }
 
     #[test]
     fn weighted_temporal_par_matches_seq_and_stops_on_predicate() {
-        use od_graphs::{WeightedCsrGraph, WeightedTemporalGraph};
         let mut rng = rng_for(196, 0);
         let weight = |u: usize, v: usize| ((u * 13 + v * 5) % 9 + 1) as u32;
         let snapshots = vec![
@@ -1587,21 +978,20 @@ mod tests {
             WeightedCsrGraph::from_csr_with(cycle(200), weight).unwrap(),
         ];
         let schedule = WeightedTemporalGraph::periodic(snapshots, 3).unwrap();
-        let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect();
-        let a = sim.run_weighted(&initial, 42);
-        let b = sim.run_weighted(&initial, 42);
-        let c = sim.run_weighted_par(&initial, 42);
+        let a = sim.run(&initial, 42);
+        let b = sim.run(&initial, 42);
+        let c = sim.run_par(&initial, 42);
         assert_eq!(a, b, "weighted temporal runs must be reproducible");
         assert_eq!(a, c, "parallel weighted temporal run must match sequential");
-        let stopped = sim.run_weighted_until(&initial, 5, |round, _| round >= 3);
+        let stopped = sim.run_until(&initial, 5, |round, _| round >= 3);
         assert_eq!(stopped.reason, StopReason::Predicate);
         assert_eq!(stopped.rounds, 3);
     }
 
     #[test]
     fn weighted_temporal_rewiring_is_reproducible() {
-        use od_graphs::{WeightedCsrGraph, WeightedTemporalGraph};
         use od_sampling::seeds::derive_seed;
         let n = 120usize;
         let make = move |epoch: u64| {
@@ -1610,24 +1000,24 @@ mod tests {
             WeightedCsrGraph::from_csr_with(csr, |u, v| ((u ^ v) % 7 + 1) as u32).unwrap()
         };
         let schedule = WeightedTemporalGraph::rewiring(n, make, 2).unwrap();
-        let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
         let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 84)).collect();
-        let a = sim.run_weighted(&initial, 11);
-        let b = sim.run_weighted(&initial, 11);
+        let a = sim.run(&initial, 11);
+        let b = sim.run(&initial, 11);
         assert_eq!(a, b, "rewired weighted runs must be reproducible");
     }
 
     #[test]
     fn temporal_periodic_schedule_runs_and_par_matches_seq() {
-        use od_graphs::{star, TemporalGraph};
+        use od_graphs::star;
         let mut rng = rng_for(192, 0);
         let snapshots = vec![random_regular(200, 6, &mut rng).unwrap(), star(200)];
         let schedule = TemporalGraph::periodic(snapshots, 3).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect(); // 70/30
-        let a = sim.run_batched(&initial, 42);
-        let b = sim.run_batched(&initial, 42);
-        let c = sim.run_batched_par(&initial, 42);
+        let a = sim.run(&initial, 42);
+        let b = sim.run(&initial, 42);
+        let c = sim.run_par(&initial, 42);
         assert_eq!(a, b, "temporal runs must be reproducible");
         assert_eq!(a, c, "parallel temporal run must match sequential");
         assert_eq!(a.reason, StopReason::Consensus);
@@ -1635,7 +1025,6 @@ mod tests {
 
     #[test]
     fn temporal_rewiring_is_reproducible_and_differs_from_static() {
-        use od_graphs::TemporalGraph;
         use od_sampling::seeds::derive_seed;
         let n = 120usize;
         let make = move |epoch: u64| {
@@ -1643,10 +1032,10 @@ mod tests {
             random_regular(n, 6, &mut rng).unwrap()
         };
         let schedule = TemporalGraph::rewiring(n, make, 2).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
         let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 84)).collect();
-        let a = sim.run_batched(&initial, 11);
-        let b = sim.run_batched(&initial, 11);
+        let a = sim.run(&initial, 11);
+        let b = sim.run(&initial, 11);
         assert_eq!(a, b, "rewired runs must be reproducible");
         // The static epoch-0 graph run must diverge from the rewired one
         // (different graphs after round 1) unless both finish instantly.
@@ -1655,7 +1044,7 @@ mod tests {
             random_regular(n, 6, &mut rng).unwrap()
         };
         let static_sim = GraphSimulation::new(ThreeMajority, &static_graph).with_max_rounds(2_000);
-        let s = static_sim.run_batched(&initial, 11);
+        let s = static_sim.run(&initial, 11);
         if a.rounds > 2 && s.rounds > 2 {
             assert_ne!(
                 (a.rounds, a.final_opinions.clone()),
@@ -1667,11 +1056,10 @@ mod tests {
 
     #[test]
     fn temporal_until_stops_on_predicate() {
-        use od_graphs::{cycle, TemporalGraph};
         let schedule = TemporalGraph::periodic(vec![cycle(50)], 1).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(100);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(100);
         let initial: Vec<u32> = (0..50).map(|v| (v % 2) as u32).collect();
-        let out = sim.run_batched_until(&initial, 5, |round, _| round >= 3);
+        let out = sim.run_until(&initial, 5, |round, _| round >= 3);
         assert_eq!(out.reason, StopReason::Predicate);
         assert_eq!(out.rounds, 3);
     }
@@ -1682,7 +1070,7 @@ mod tests {
         let g = random_regular(200, 6, &mut rng).unwrap();
         let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect(); // 70/30
-        let out = sim.run(&initial, &mut rng);
+        let out = sim.run(&initial, 181);
         assert_eq!(out.reason, StopReason::Consensus);
         assert_eq!(out.winner, Some(0));
     }
@@ -1695,7 +1083,7 @@ mod tests {
         let g = cycle(100);
         let sim = GraphSimulation::new(TwoChoices, g).with_max_rounds(50);
         let initial: Vec<u32> = (0..100).map(|v| ((v / 10) % 2) as u32).collect();
-        let out = sim.run_seeded(&initial, 182);
+        let out = sim.run(&initial, 182);
         assert!(out.rounds <= 50);
         assert_eq!(out.final_opinions.len(), 100);
     }
@@ -1704,7 +1092,7 @@ mod tests {
     fn consensus_is_detected_immediately() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let out = sim.run_seeded(&[3u32; 10], 183);
+        let out = sim.run(&[3u32; 10], 183);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.winner, Some(3));
     }
@@ -1714,26 +1102,36 @@ mod tests {
     fn step_validates_length() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let mut rng = rng_for(184, 0);
-        let mut ops = vec![0u32; 5];
-        sim.step(&mut ops, &mut rng);
+        let src = vec![0u32; 5];
+        let mut dst = vec![0u32; 5];
+        step(&sim, 0, 0, &src, &mut dst);
     }
 
     #[test]
     #[should_panic(expected = "length must equal")]
-    fn step_seq_validates_length() {
+    fn step_par_validates_length() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
         let src = vec![0u32; 5];
         let mut dst = vec![0u32; 5];
-        sim.step_seq(0, 0, &src, &mut dst);
+        sim.step_par(0, 0, &src, &mut dst, &ScratchPool::new());
     }
 
     #[test]
-    fn tally_helper_counts() {
-        let g = CompleteWithSelfLoops::new(4);
+    #[should_panic(expected = "equal length")]
+    fn step_par_validates_destination_length() {
+        let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let c = sim.tally(&[0, 1, 1, 2], 4);
-        assert_eq!(c.counts(), &[1, 2, 1, 0]);
+        let src = vec![0u32; 10];
+        let mut dst = vec![0u32; 9];
+        sim.step_par(0, 0, &src, &mut dst, &ScratchPool::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "length must equal")]
+    fn run_validates_length() {
+        let schedule = TemporalGraph::periodic(vec![cycle(10)], 1).unwrap();
+        let sim = GraphSimulation::new(ThreeMajority, &schedule);
+        let _ = sim.run(&[0, 1, 0], 0);
     }
 }

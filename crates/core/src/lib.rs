@@ -21,7 +21,10 @@
 //!   `n = 10^7` laptop-friendly;
 //! * the **agent engine** ([`protocol::SyncProtocol::step_agents`],
 //!   [`GraphSimulation`]) executes the literal per-vertex rule of
-//!   Definition 3.1 (`O(n)` per round) and works on any graph.
+//!   Definition 3.1 (`O(n)` per round) and works on any graph. On graphs
+//!   it is one batched round kernel over plain or weighted graphs
+//!   ([`NeighborDraw`]), static or temporal ([`GraphSchedule`]), with a
+//!   sequential and a rayon step that agree bit for bit.
 //!
 //! The two are distributionally identical on the complete graph — a fact
 //! cross-validated by the test suites.
@@ -61,8 +64,7 @@ pub use config::OpinionCounts;
 pub use engine::{RunOutcome, Simulation, StopReason};
 pub use error::{ConfigError, Error};
 pub use graph_dynamics::{
-    GraphRunOutcome, GraphSimulation, RoundScratch, ScratchPool, TemporalSimulation,
-    WeightedTemporalSimulation,
+    GraphRunOutcome, GraphSchedule, GraphSimulation, NeighborDraw, RoundScratch, ScratchPool,
 };
 pub use observer::{BoundedGammaTrace, Observer};
 pub use registry::{

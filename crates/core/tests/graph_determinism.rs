@@ -1,12 +1,12 @@
-//! Determinism guarantees of the cell-seeded and batched graph engines:
+//! Determinism guarantees of the graph engine:
 //!
-//! * the rayon-parallel round is **bit-identical** to the sequential one
-//!   for every protocol × graph family (proptest over `n`, `k`, seeds);
-//! * the batched three-pass round is bit-identical across sequential,
-//!   rayon-parallel, and every explicit contiguous shard partition at
-//!   1, 2, 4, and 8 threads — the partition shapes any thread schedule
-//!   can produce (cell randomness is a pure function of the cell, so
-//!   shard composition covers arbitrary scheduling);
+//! * one table over {plain, weighted} × {static, temporal} × the seven
+//!   graph protocols: for every row, whole runs agree sequentially and on
+//!   rayon, and every early round is bit-identical computed sequentially,
+//!   as a random contiguous shard partition, and by `step_par` (cell
+//!   randomness is a pure function of the cell, so shard composition
+//!   covers arbitrary scheduling; the thread count is whatever
+//!   `RAYON_NUM_THREADS` pins);
 //! * the allocation-free `step_population_into` draws bit-identically to
 //!   the allocating `step_population` for every protocol.
 
@@ -14,9 +14,7 @@ use od_core::protocol::{
     GraphProtocol, HMajority, MedianRule, Noisy, StepScratch, SyncProtocol, ThreeMajority,
     TwoChoices, UndecidedDynamics, Voter,
 };
-use od_core::{
-    GraphSimulation, OpinionCounts, RoundScratch, TemporalSimulation, WeightedTemporalSimulation,
-};
+use od_core::{GraphSchedule, GraphSimulation, OpinionCounts, RoundScratch, ScratchPool};
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
     stochastic_block_model, torus_2d, CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraph,
@@ -26,313 +24,113 @@ use od_sampling::rng_for;
 use od_sampling::seeds::derive_seed;
 use proptest::prelude::*;
 
-/// Asserts a full parallel run equals the sequential run bit-for-bit.
-fn check_par_eq_seq<P, G>(protocol: P, graph: &G, k: u32, trial_seed: u64)
+/// One row of the table: `protocol` on `schedule`. Asserts that a full
+/// parallel run equals the sequential run, and that each of the first
+/// six rounds (two epochs for any period <= 3) is bit-identical computed
+/// sequentially, as the contiguous shard partition cut at `cuts` (taken
+/// modulo `n + 1`, each shard with fresh scratch), and by `step_par`.
+fn check_row<P, S>(label: &str, protocol: P, schedule: S, k: u32, trial_seed: u64, cuts: &[usize])
 where
     P: GraphProtocol + Sync,
-    G: Graph + Sync,
+    S: GraphSchedule + Sync,
+    S::Graph: Sync,
 {
-    let n = graph.n();
+    let n = schedule.vertex_count();
     let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(40);
-    let seq = sim.run_seeded(&initial, trial_seed);
-    let par = sim.run_seeded_par(&initial, trial_seed);
-    assert_eq!(seq, par, "par != seq on a {n}-vertex graph, k = {k}");
-}
+    let sim = GraphSimulation::new(protocol, schedule).with_max_rounds(40);
+    let seq = sim.run(&initial, trial_seed);
+    let par = sim.run_par(&initial, trial_seed);
+    assert_eq!(seq, par, "{label}: run_par != run on {n} vertices, k = {k}");
 
-/// Asserts the batched pipeline is bit-identical across sequential,
-/// rayon-parallel, and explicit contiguous shard partitions at 1, 2, 4,
-/// and 8 threads.
-fn check_batched_schedules<P, G>(protocol: P, graph: &G, k: u32, trial_seed: u64)
-where
-    P: GraphProtocol + Sync,
-    G: Graph + Sync,
-{
-    let n = graph.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(40);
-    let seq = sim.run_batched(&initial, trial_seed);
-    let par = sim.run_batched_par(&initial, trial_seed);
-    assert_eq!(seq, par, "batched par != seq on a {n}-vertex graph");
-
-    // Replay the first rounds under every partition a 1/2/4/8-thread
-    // schedule could assign, each shard with its own scratch buffers.
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+    bounds.extend([0, n]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let pool = ScratchPool::new();
     let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
+    let mut parallel = vec![0u32; n];
+    let mut sharded = vec![0u32; n];
     let mut src = initial;
-    for round in 0..3 {
-        sim.step_seq_batched(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                sim.step_batched_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "round {round}: {threads}-thread partition diverged on a {n}-vertex graph"
+    for round in 0..6 {
+        sim.step_shard(
+            trial_seed,
+            round,
+            0,
+            &src,
+            &mut reference,
+            &mut RoundScratch::new(),
+        );
+        sim.step_par(trial_seed, round, &src, &mut parallel, &pool);
+        assert_eq!(
+            reference, parallel,
+            "{label}: round {round}: step_par diverged"
+        );
+        for shard in bounds.windows(2) {
+            let (start, end) = (shard[0], shard[1]);
+            sim.step_shard(
+                trial_seed,
+                round,
+                start,
+                &src,
+                &mut sharded[start..end],
+                &mut RoundScratch::new(),
             );
         }
+        assert_eq!(
+            reference, sharded,
+            "{label}: round {round}: shard partition {bounds:?} diverged"
+        );
         src.copy_from_slice(&reference);
     }
 }
 
-/// Runs the check for every registered protocol on one graph.
-fn check_all_protocols<G: Graph + Sync>(graph: &G, k: u32, trial_seed: u64) {
-    check_par_eq_seq(ThreeMajority, graph, k, trial_seed);
-    check_par_eq_seq(TwoChoices, graph, k, trial_seed);
-    check_par_eq_seq(Voter, graph, k, trial_seed);
-    check_par_eq_seq(MedianRule, graph, k, trial_seed);
-    check_par_eq_seq(HMajority::new(5).unwrap(), graph, k, trial_seed);
+/// The protocol axis of the table: every registered graph protocol on
+/// one schedule.
+fn check_all_protocols<S>(label: &str, schedule: S, k: u32, trial_seed: u64, cuts: &[usize])
+where
+    S: GraphSchedule + Copy + Sync,
+    S::Graph: Sync,
+{
+    check_row(label, ThreeMajority, schedule, k, trial_seed, cuts);
+    check_row(label, TwoChoices, schedule, k, trial_seed, cuts);
+    check_row(label, Voter, schedule, k, trial_seed, cuts);
+    check_row(label, MedianRule, schedule, k, trial_seed, cuts);
+    check_row(
+        label,
+        HMajority::new(5).unwrap(),
+        schedule,
+        k,
+        trial_seed,
+        cuts,
+    );
     // Undecided: opinions 0..k are decided, k is the blank state; the
-    // striped initial above includes blanks when taken modulo k + 1.
-    check_par_eq_seq(UndecidedDynamics::new(k as usize), graph, k + 1, trial_seed);
-    check_par_eq_seq(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        graph,
-        k,
-        trial_seed,
-    );
-}
-
-/// Runs the batched-schedule check for every registered protocol.
-fn check_all_protocols_batched<G: Graph + Sync>(graph: &G, k: u32, trial_seed: u64) {
-    check_batched_schedules(ThreeMajority, graph, k, trial_seed);
-    check_batched_schedules(TwoChoices, graph, k, trial_seed);
-    check_batched_schedules(Voter, graph, k, trial_seed);
-    check_batched_schedules(MedianRule, graph, k, trial_seed);
-    check_batched_schedules(HMajority::new(5).unwrap(), graph, k, trial_seed);
-    check_batched_schedules(UndecidedDynamics::new(k as usize), graph, k + 1, trial_seed);
-    check_batched_schedules(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        graph,
-        k,
-        trial_seed,
-    );
-}
-
-/// Asserts the **weighted** pipeline is bit-identical across sequential,
-/// rayon-parallel, and explicit contiguous shard partitions at 1, 2, 4,
-/// and 8 threads — the weighted mirror of [`check_batched_schedules`].
-fn check_weighted_schedules<P>(protocol: P, graph: &WeightedCsrGraph, k: u32, trial_seed: u64)
-where
-    P: GraphProtocol + Sync,
-{
-    let n = graph.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(40);
-    let seq = sim.run_weighted(&initial, trial_seed);
-    let par = sim.run_weighted_par(&initial, trial_seed);
-    assert_eq!(seq, par, "weighted par != seq on a {n}-vertex graph");
-
-    let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
-    let mut src = initial;
-    for round in 0..3 {
-        sim.step_seq_weighted(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                sim.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "weighted round {round}: {threads}-thread partition diverged on {n} vertices"
-            );
-        }
-        src.copy_from_slice(&reference);
-    }
-}
-
-/// Asserts a temporal schedule runs bit-identically under sequential,
-/// rayon-parallel, and manual per-round shard-partition execution, across
-/// epoch boundaries.
-fn check_temporal_schedules<P>(protocol: P, schedule: &TemporalGraph, k: u32, trial_seed: u64)
-where
-    P: GraphProtocol + Sync,
-{
-    let n = schedule.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = TemporalSimulation::new(&protocol, schedule).with_max_rounds(40);
-    let seq = sim.run_batched(&initial, trial_seed);
-    let par = sim.run_batched_par(&initial, trial_seed);
-    assert_eq!(seq, par, "temporal par != seq on a {n}-vertex schedule");
-
-    // Replay the first rounds manually: per-round snapshot resolution +
-    // explicit shard partitions must reproduce the sequential rounds.
-    let mut view = schedule.view();
-    let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
-    let mut src = initial;
-    for round in 0..6 {
-        // Spans two epochs for any period <= 3.
-        let graph = view.at_round(round);
-        let round_sim = GraphSimulation::new(&protocol, graph);
-        round_sim.step_seq_batched(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                round_sim.step_batched_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "temporal round {round}: {threads}-thread partition diverged"
-            );
-        }
-        src.copy_from_slice(&reference);
-    }
-}
-
-/// Asserts a **weighted temporal** schedule runs bit-identically under
-/// sequential and rayon-parallel execution, and that manual per-round
-/// snapshot resolution + explicit shard partitions reproduce the
-/// sequential rounds across epoch boundaries — the combined mirror of
-/// [`check_temporal_schedules`].
-fn check_weighted_temporal_schedules<P>(
-    protocol: P,
-    schedule: &WeightedTemporalGraph,
-    k: u32,
-    trial_seed: u64,
-) where
-    P: GraphProtocol + Sync,
-{
-    let n = schedule.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = WeightedTemporalSimulation::new(&protocol, schedule).with_max_rounds(40);
-    let seq = sim.run_weighted(&initial, trial_seed);
-    let par = sim.run_weighted_par(&initial, trial_seed);
-    assert_eq!(seq, par, "weighted temporal par != seq on {n} vertices");
-
-    let mut view = schedule.view();
-    let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
-    let mut src = initial;
-    for round in 0..6 {
-        // Spans two epochs for any period <= 3.
-        let graph = view.at_round(round);
-        let round_sim = GraphSimulation::new(&protocol, graph);
-        round_sim.step_seq_weighted(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                round_sim.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "weighted temporal round {round}: {threads}-thread partition diverged"
-            );
-        }
-        src.copy_from_slice(&reference);
-    }
-}
-
-/// Runs the weighted-temporal check for every registered protocol.
-fn check_all_protocols_weighted_temporal(
-    schedule: &WeightedTemporalGraph,
-    k: u32,
-    trial_seed: u64,
-) {
-    check_weighted_temporal_schedules(ThreeMajority, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(TwoChoices, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(Voter, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(MedianRule, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(HMajority::new(5).unwrap(), schedule, k, trial_seed);
-    check_weighted_temporal_schedules(
+    // striped initial includes blanks when taken modulo k + 1.
+    check_row(
+        label,
         UndecidedDynamics::new(k as usize),
         schedule,
         k + 1,
         trial_seed,
+        cuts,
     );
-    check_weighted_temporal_schedules(
+    check_row(
+        label,
         Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
         schedule,
         k,
         trial_seed,
+        cuts,
     );
 }
 
-/// Runs the weighted-schedule check for every registered protocol.
-fn check_all_protocols_weighted(graph: &WeightedCsrGraph, k: u32, trial_seed: u64) {
-    check_weighted_schedules(ThreeMajority, graph, k, trial_seed);
-    check_weighted_schedules(TwoChoices, graph, k, trial_seed);
-    check_weighted_schedules(Voter, graph, k, trial_seed);
-    check_weighted_schedules(MedianRule, graph, k, trial_seed);
-    check_weighted_schedules(HMajority::new(5).unwrap(), graph, k, trial_seed);
-    check_weighted_schedules(UndecidedDynamics::new(k as usize), graph, k + 1, trial_seed);
-    check_weighted_schedules(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        graph,
-        k,
-        trial_seed,
-    );
-}
-
-/// Runs the temporal-schedule check for every registered protocol.
-fn check_all_protocols_temporal(schedule: &TemporalGraph, k: u32, trial_seed: u64) {
-    check_temporal_schedules(ThreeMajority, schedule, k, trial_seed);
-    check_temporal_schedules(TwoChoices, schedule, k, trial_seed);
-    check_temporal_schedules(Voter, schedule, k, trial_seed);
-    check_temporal_schedules(MedianRule, schedule, k, trial_seed);
-    check_temporal_schedules(HMajority::new(5).unwrap(), schedule, k, trial_seed);
-    check_temporal_schedules(
-        UndecidedDynamics::new(k as usize),
-        schedule,
-        k + 1,
-        trial_seed,
-    );
-    check_temporal_schedules(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        schedule,
-        k,
-        trial_seed,
-    );
+/// Seeded, symmetric, per-pair pseudo-random weights in [1, 16]:
+/// irregular rows exercise the per-vertex threshold path; the +1 floor
+/// keeps every row positive.
+fn pair_weight(graph_seed: u64) -> impl Fn(usize, usize) -> u32 + Copy + Send + Sync {
+    move |u, v| {
+        let pair = ((u.min(v) as u64) << 32) | u.max(v) as u64;
+        (derive_seed(graph_seed, pair) % 16) as u32 + 1
+    }
 }
 
 /// Every generated family at a feasible size, plus the complete graph.
@@ -374,54 +172,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn parallel_equals_sequential_everywhere(
+    fn static_graphs_are_partition_invariant_everywhere(
         n in 16usize..96,
         k in 2u32..6,
         trial_seed in 0u64..10_000,
         graph_seed in 0u64..1_000,
+        cuts in proptest::collection::vec(0usize..1_000, 0..4),
     ) {
-        for (_name, graph) in generated_families(n, graph_seed) {
-            check_all_protocols(&graph, k, trial_seed);
-        }
-        check_all_protocols(&CompleteWithSelfLoops::new(n), k, trial_seed);
-    }
-
-    #[test]
-    fn batched_pipeline_is_schedule_invariant_everywhere(
-        n in 16usize..96,
-        k in 2u32..6,
-        trial_seed in 0u64..10_000,
-        graph_seed in 0u64..1_000,
-    ) {
-        for (_name, graph) in generated_families(n, graph_seed) {
-            check_all_protocols_batched(&graph, k, trial_seed);
-        }
-        check_all_protocols_batched(&CompleteWithSelfLoops::new(n), k, trial_seed);
-    }
-
-    #[test]
-    fn weighted_pipeline_is_schedule_invariant_everywhere(
-        n in 16usize..96,
-        k in 2u32..6,
-        trial_seed in 0u64..10_000,
-        graph_seed in 0u64..1_000,
-    ) {
+        // Plain × static: every generated family plus the complete graph.
+        check_all_protocols("complete", CompleteWithSelfLoops::new(n), k, trial_seed, &cuts);
+        let weight = pair_weight(graph_seed);
         for (name, graph) in generated_families(n, graph_seed) {
+            check_all_protocols(name, &graph, k, trial_seed, &cuts);
             if !graph.has_no_isolated_vertices() {
                 // A sparse SBM draw can isolate a vertex; weighted
                 // construction rejects those rows by design.
                 continue;
             }
-            // Seeded, symmetric, per-pair pseudo-random weights in
-            // [1, 16] — irregular rows exercise the per-vertex
-            // threshold path; the +1 floor keeps every row positive.
-            let weight = |u: usize, v: usize| {
-                let pair = ((u.min(v) as u64) << 32) | u.max(v) as u64;
-                (derive_seed(graph_seed, pair) % 16) as u32 + 1
-            };
+            // Weighted × static, on the same topology.
             let weighted = WeightedCsrGraph::from_csr_with(graph.clone(), weight)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            check_all_protocols_weighted(&weighted, k, trial_seed);
+            check_all_protocols(name, &weighted, k, trial_seed, &cuts);
             // The resolution strategy is a pure post-processing choice:
             // a prefix-search-backed graph must run bit-identical whole
             // trials to the alias-backed default.
@@ -432,68 +203,25 @@ proptest! {
             let initial: Vec<u32> = (0..prefix.n()).map(|v| (v as u32) % k).collect();
             let via_alias = GraphSimulation::new(ThreeMajority, &weighted)
                 .with_max_rounds(40)
-                .run_weighted(&initial, trial_seed);
+                .run(&initial, trial_seed);
             let via_prefix = GraphSimulation::new(ThreeMajority, &prefix)
                 .with_max_rounds(40)
-                .run_weighted(&initial, trial_seed);
+                .run(&initial, trial_seed);
             prop_assert!(via_alias == via_prefix, "{name}: alias vs prefix diverged");
         }
     }
 
     #[test]
-    fn weighted_temporal_schedules_are_invariant_everywhere(
+    fn temporal_schedules_are_partition_invariant_everywhere(
         n in 16usize..64,
         k in 2u32..6,
         trial_seed in 0u64..10_000,
         graph_seed in 0u64..1_000,
         period in 1u64..4,
+        cuts in proptest::collection::vec(0usize..1_000, 0..4),
     ) {
-        // Periodic weighted snapshots (each with its own weight rows)
-        // and a seeded weighted rewiring schedule over *repaired* sparse
-        // ER epochs — the families the runtime's rewire repair pass
-        // unlocked — checked for every protocol.
-        let weight = move |u: usize, v: usize| {
-            let pair = ((u.min(v) as u64) << 32) | u.max(v) as u64;
-            (derive_seed(graph_seed, pair) % 16) as u32 + 1
-        };
-        let families = generated_families(n, graph_seed);
-        let base_n = families[0].1.n();
-        let snapshots: Vec<WeightedCsrGraph> = families
-            .into_iter()
-            .filter(|(_, g)| g.n() == base_n && g.has_no_isolated_vertices())
-            .map(|(_, g)| WeightedCsrGraph::from_csr_with(g, weight).unwrap())
-            .take(3)
-            .collect();
-        let periodic = WeightedTemporalGraph::periodic(snapshots, period).unwrap();
-        check_all_protocols_weighted_temporal(&periodic, k, trial_seed);
-
-        let m = base_n.max(8);
-        let rewiring = WeightedTemporalGraph::rewiring(
-            m,
-            move |epoch| {
-                let mut rng = rng_for(derive_seed(graph_seed, epoch), 0);
-                // Sparse enough to isolate vertices regularly: the
-                // deterministic repair pass must keep every epoch both
-                // sampleable and schedule-invariant.
-                let sparse = erdos_renyi(m, 1.5 / m as f64, &mut rng).unwrap();
-                WeightedCsrGraph::from_csr_with(repair_isolated(sparse), weight).unwrap()
-            },
-            period,
-        )
-        .unwrap();
-        check_all_protocols_weighted_temporal(&rewiring, k, trial_seed);
-    }
-
-    #[test]
-    fn temporal_schedules_are_invariant_everywhere(
-        n in 16usize..64,
-        k in 2u32..6,
-        trial_seed in 0u64..10_000,
-        graph_seed in 0u64..1_000,
-        period in 1u64..4,
-    ) {
-        // A heterogeneous periodic schedule mixing three families, and a
-        // seeded rewiring schedule — both checked for every protocol.
+        // Plain × temporal: a heterogeneous periodic schedule mixing
+        // three families, and a seeded rewiring schedule.
         let families = generated_families(n, graph_seed);
         let base_n = families[0].1.n();
         let snapshots: Vec<CsrGraph> = families
@@ -502,19 +230,45 @@ proptest! {
             .map(|(_, g)| g)
             .take(3)
             .collect();
+        let weight = pair_weight(graph_seed);
+        let weighted_snapshots: Vec<WeightedCsrGraph> = snapshots
+            .iter()
+            .map(|g| WeightedCsrGraph::from_csr_with(g.clone(), weight).unwrap())
+            .collect();
         let periodic = TemporalGraph::periodic(snapshots, period).unwrap();
-        check_all_protocols_temporal(&periodic, k, trial_seed);
-
+        check_all_protocols("periodic", &periodic, k, trial_seed, &cuts);
+        let m = base_n.max(8);
         let rewiring = TemporalGraph::rewiring(
-            base_n.max(8),
+            m,
             move |epoch| {
                 let mut rng = rng_for(derive_seed(graph_seed, epoch), 0);
-                random_regular(base_n.max(8), 4, &mut rng).unwrap()
+                random_regular(m, 4, &mut rng).unwrap()
             },
             period,
         )
         .unwrap();
-        check_all_protocols_temporal(&rewiring, k, trial_seed);
+        check_all_protocols("rewiring", &rewiring, k, trial_seed, &cuts);
+
+        // Weighted × temporal: the same periodic snapshots, each with its
+        // own weight rows, and a seeded weighted rewiring schedule over
+        // *repaired* sparse ER epochs — the families the runtime's rewire
+        // repair pass unlocked.
+        let periodic = WeightedTemporalGraph::periodic(weighted_snapshots, period).unwrap();
+        check_all_protocols("weighted periodic", &periodic, k, trial_seed, &cuts);
+        let rewiring = WeightedTemporalGraph::rewiring(
+            m,
+            move |epoch| {
+                let mut rng = rng_for(derive_seed(graph_seed, epoch), 0);
+                // Sparse enough to isolate vertices regularly: the
+                // deterministic repair pass must keep every epoch both
+                // sampleable and partition-invariant.
+                let sparse = erdos_renyi(m, 1.5 / m as f64, &mut rng).unwrap();
+                WeightedCsrGraph::from_csr_with(repair_isolated(sparse), weight).unwrap()
+            },
+            period,
+        )
+        .unwrap();
+        check_all_protocols("weighted rewiring", &rewiring, k, trial_seed, &cuts);
     }
 
     #[test]
@@ -559,26 +313,13 @@ proptest! {
 
 #[test]
 fn batched_equals_parallel_batched_at_scale() {
-    // Large enough that the parallel step spans multiple PAR_CHUNK work
-    // units and the sequential step spans many BATCH_CHUNK sub-chunks.
+    // Large enough that each parallel shard spans many BATCH_CHUNK
+    // sub-chunks.
     let mut rng = rng_for(910, 0);
     let g = random_regular(20_000, 8, &mut rng).unwrap();
     let sim = GraphSimulation::new(ThreeMajority, &g).with_max_rounds(10);
     let initial: Vec<u32> = (0..20_000).map(|v| (v % 5) as u32).collect();
-    let seq = sim.run_batched(&initial, 123);
-    let par = sim.run_batched_par(&initial, 123);
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn parallel_equals_sequential_at_scale() {
-    // One larger case so multiple rayon chunks are genuinely exercised
-    // (PAR_CHUNK is 4096 vertices).
-    let mut rng = rng_for(909, 0);
-    let g = random_regular(20_000, 8, &mut rng).unwrap();
-    let sim = GraphSimulation::new(ThreeMajority, &g).with_max_rounds(10);
-    let initial: Vec<u32> = (0..20_000).map(|v| (v % 5) as u32).collect();
-    let seq = sim.run_seeded(&initial, 123);
-    let par = sim.run_seeded_par(&initial, 123);
+    let seq = sim.run(&initial, 123);
+    let par = sim.run_par(&initial, 123);
     assert_eq!(seq, par);
 }

@@ -811,8 +811,7 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                 });
             }
             if quarantined == 0 {
-                std::fs::remove_dir_all(&dir)
-                    .map_err(|e| RuntimeError::io(&format!("removing {}", dir.display()), e))?;
+                remove_control_plane(&dir)?;
             }
             return Ok(OrchReport {
                 summary,
@@ -895,6 +894,25 @@ fn prepare_manifest(
     manifest.save(dir)?;
     sync_range_files(dir, &manifest)?;
     Ok(manifest)
+}
+
+/// Removes the control plane after a clean merge. An orphaned worker of
+/// an earlier, killed supervisor may still be running and writing range
+/// files into it, so a removal that finds the directory refilled behind
+/// it (`DirectoryNotEmpty`) is retried for up to a second: an orphan
+/// stops writing once the directory is gone.
+fn remove_control_plane(dir: &Path) -> Result<(), RuntimeError> {
+    let mut attempts = 0;
+    loop {
+        match std::fs::remove_dir_all(dir) {
+            Ok(()) => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::DirectoryNotEmpty && attempts < 100 => {
+                attempts += 1;
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => return Err(RuntimeError::io(&format!("removing {}", dir.display()), e)),
+        }
+    }
 }
 
 /// Moves a corrupt manifest aside (preserving the evidence) and clears

@@ -144,7 +144,7 @@ fn graph_job_matches_direct_engine_bit_for_bit() {
     let mut direct_rounds = Vec::new();
     let mut direct_winners = Vec::new();
     for trial in 0..spec.trials {
-        let out = sim.run_batched(&opinions, derive_seed(spec.master_seed, trial));
+        let out = sim.run(&opinions, derive_seed(spec.master_seed, trial));
         direct_rounds.push(out.rounds);
         direct_winners.push(out.winner.unwrap() as u64);
     }

@@ -1,6 +1,6 @@
 //! Batched, bit-packed multi-sample bounded draws for the graph engine.
 //!
-//! The cell-seeded graph engine needs a handful of bounded uniform indices
+//! The graph engine needs a handful of bounded uniform indices
 //! per *(round, vertex)* cell — one per neighbor sample. Drawing each index
 //! from its own 64-bit word pays a full SplitMix64 mix per sample; this
 //! module amortizes that cost by packing **three 21-bit samples into one

@@ -9,7 +9,8 @@
 //! This umbrella crate re-exports the workspace members:
 //!
 //! * [`core`] (`od-core`) — the dynamics: [`core::protocol::ThreeMajority`],
-//!   [`core::protocol::TwoChoices`], baselines, engines, stopping times;
+//!   [`core::protocol::TwoChoices`], baselines, the population engine, the
+//!   graph engine [`core::GraphSimulation`], stopping times;
 //! * [`analysis`] (`od-analysis`) — Lemma 4.1 drifts, Bernstein conditions,
 //!   theorem-level bound curves;
 //! * [`experiments`] (`od-experiments`) — the figure/table regeneration

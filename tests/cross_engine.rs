@@ -3,7 +3,9 @@
 //! scheduler matches up to the tick/round correspondence.
 
 use opinion_dynamics::core::protocol::{expand, tally, SyncProtocol};
+use opinion_dynamics::core::RoundScratch;
 use opinion_dynamics::prelude::*;
+use rand::RngCore;
 
 /// Mean and variance of `α'(0)` under repeated one-round transitions.
 fn one_round_moments(
@@ -61,9 +63,11 @@ fn three_engines_share_one_round_distribution_three_majority() {
     let graph = one_round_moments(
         |rng| {
             let sim = GraphSimulation::new(ThreeMajority, CompleteWithSelfLoops::new(n));
-            let mut ops = expand(&start);
-            sim.step(&mut ops, rng);
-            tally(&ops, k).fraction(0)
+            let src = expand(&start);
+            let mut dst = vec![0u32; n];
+            let trial_seed = rng.next_u64();
+            sim.step_shard(trial_seed, 0, 0, &src, &mut dst, &mut RoundScratch::new());
+            tally(&dst, k).fraction(0)
         },
         trials,
         3,
@@ -130,11 +134,11 @@ fn graph_engine_on_expander_behaves_like_complete_graph() {
     let t_complete = {
         let sim = GraphSimulation::new(ThreeMajority, CompleteWithSelfLoops::new(n))
             .with_max_rounds(50_000);
-        sim.run(&initial, &mut rng).rounds
+        sim.run(&initial, rng.next_u64()).rounds
     };
     let t_expander = {
         let sim = GraphSimulation::new(ThreeMajority, expander).with_max_rounds(50_000);
-        sim.run(&initial, &mut rng).rounds
+        sim.run(&initial, rng.next_u64()).rounds
     };
     assert!(
         t_expander < 100 * t_complete.max(5),
