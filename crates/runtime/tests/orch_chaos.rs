@@ -11,6 +11,7 @@
 
 #![cfg(unix)]
 
+use od_runtime::lease;
 use od_runtime::orchestrator::range_path;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -78,18 +79,45 @@ fn orch_dir(job_path: &Path) -> PathBuf {
     job_path.with_file_name("job.json.orch")
 }
 
+/// Parses a control-plane JSON file; `None` while it is absent or
+/// mid-replacement (racing an atomic rename — retry next poll).
+fn read_json(path: &Path) -> Option<od_runtime::json::Json> {
+    od_runtime::json::parse(&std::fs::read_to_string(path).ok()?).ok()
+}
+
 /// The live child pids the supervisor last published to `workers.json`.
 fn worker_pids(dir: &Path) -> Vec<u64> {
-    let Ok(text) = std::fs::read_to_string(dir.join("workers.json")) else {
-        return Vec::new();
-    };
-    let Ok(value) = od_runtime::json::parse(&text) else {
-        return Vec::new(); // racing the atomic rename; retry next poll
-    };
-    match value.as_object() {
-        Some(map) => map.values().filter_map(|v| v.as_u64()).collect(),
-        None => Vec::new(),
+    read_json(&dir.join("workers.json"))
+        .and_then(|value| {
+            value
+                .as_object()
+                .map(|map| map.values().filter_map(|v| v.as_u64()).collect())
+        })
+        .unwrap_or_default()
+}
+
+/// The worker holding an unfinished range's lease, if any.
+fn range_holder(range: &Path) -> Option<String> {
+    if lease::done_path(range).exists() {
+        return None;
     }
+    read_json(&lease::lease_path(range))?
+        .get("worker_id")?
+        .as_str()
+        .map(str::to_string)
+}
+
+/// An unfinished range with its lease holder and the holder's pid
+/// (looked up by worker id in `workers.json`).
+fn leased_worker(dir: &Path) -> Option<(PathBuf, String, u64)> {
+    let roster = read_json(&dir.join("workers.json"))?;
+    files_with_suffix(dir, ".range.json")
+        .into_iter()
+        .find_map(|range| {
+            let holder = range_holder(&range)?;
+            let pid = roster.get(&holder)?.as_u64()?;
+            Some((range, holder, pid))
+        })
 }
 
 fn files_with_suffix(dir: &Path, suffix: &str) -> Vec<PathBuf> {
@@ -221,22 +249,35 @@ fn sigstopped_straggler_loses_its_range_to_revocation() {
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());
     let mut supervisor = cmd.spawn().unwrap();
-    wait_for("a live worker with a claimed range", || {
+    // Freeze a worker that holds an unfinished range: only a frozen
+    // *lease holder* stalls a range and so must be revoked. The range is
+    // re-read after the stop; if it changed hands or finished in
+    // between, the worker is thawed and the search goes on.
+    let mut victim = 0;
+    wait_for("a live worker holding a range lease", || {
         assert!(
             supervisor.try_wait().unwrap().is_none(),
             "supervisor exited before any range was claimed"
         );
-        !worker_pids(&orch).is_empty() && !files_with_suffix(&orch, ".lease.json").is_empty()
+        let Some((range, holder, pid)) = leased_worker(&orch) else {
+            return false;
+        };
+        signal(pid, "-STOP");
+        if range_holder(&range).as_deref() == Some(holder.as_str()) {
+            victim = pid;
+            true
+        } else {
+            signal(pid, "-CONT");
+            false
+        }
     });
-    let victims = worker_pids(&orch);
-    signal(victims[0], "-STOP");
 
     let status = supervisor.wait().unwrap();
     // Make sure the stopped pid cannot linger past the test whatever
     // the assertions below decide (the supervisor SIGKILLs leftover
     // children at shutdown, so this is normally a no-op).
-    signal(victims[0], "-CONT");
-    signal(victims[0], "-KILL");
+    signal(victim, "-CONT");
+    signal(victim, "-KILL");
     assert!(status.success(), "straggler run failed: {status}");
 
     let merged = std::fs::read(job_path.with_file_name("job.json.checkpoint.json")).unwrap();

@@ -215,6 +215,11 @@ pub fn reason(status: u16) -> &'static str {
 /// `Connection: close` downgrade (the final response on a connection);
 /// otherwise the response advertises `Connection: keep-alive`.
 ///
+/// Head and body are rendered into one buffer and handed to `writer`
+/// in a single `write_all`: a response split over several small writes
+/// lets Nagle's algorithm hold its tail until the peer's delayed ACK
+/// arrives (tens of milliseconds per keep-alive exchange).
+///
 /// # Errors
 ///
 /// Propagates transport I/O errors.
@@ -225,15 +230,16 @@ pub fn write_response<W: Write>(
     body: &[u8],
     close: bool,
 ) -> std::io::Result<()> {
-    write!(
-        writer,
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
         if close { "close" } else { "keep-alive" }
-    )?;
-    writer.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    writer.write_all(&response)?;
     writer.flush()
 }
 
@@ -382,5 +388,36 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
         assert_eq!(reason(503), "Service Unavailable");
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let body = vec![b'x'; 100_000];
+        for (status, body) in [(200, &b"{}"[..]), (404, &b""[..]), (200, &body[..])] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, "application/json", body, false).unwrap();
+            assert_eq!(out.writes, 1, "head and body must leave in one write");
+            assert!(out.bytes.starts_with(b"HTTP/1.1 "));
+            assert!(out.bytes.ends_with(body));
+        }
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! # Connection model
 //!
-//! Each accepted connection gets its own handler thread, bounded by
-//! [`ServeOptions::max_connections`]: a connection past the cap is
-//! answered immediately with a typed `503 Service Unavailable` document
-//! and closed, so overload degrades loudly instead of queueing
+//! The accept thread blocks in `accept`; no timer paces it. Each
+//! accepted connection gets `TCP_NODELAY` and its own handler thread,
+//! bounded by [`ServeOptions::max_connections`]: a connection past the
+//! cap is answered immediately with a typed `503 Service Unavailable`
+//! document and closed, so overload degrades loudly instead of queueing
 //! unboundedly. Within a connection, requests are served in a loop —
 //! HTTP/1.1 `Connection: keep-alive`, the default — until the client
 //! asks to close, the idle timeout expires (measured on the injectable
@@ -16,6 +17,24 @@
 //! shuts down, or the client *pipelines* (sends a second request before
 //! reading the first response): pipelining is rejected by answering the
 //! current request with `Connection: close` and dropping the rest.
+//! Every response leaves in one write ([`http::write_response`]), so
+//! Nagle's algorithm never holds a response tail for the client's
+//! delayed ACK.
+//!
+//! [`Server::shutdown`] sets the stop flag and then wakes the blocked
+//! accept with one loopback connection to the service's own address;
+//! the loop drops that connection without counting, logging or routing
+//! it, and exits.
+//!
+//! # Worker wake-up
+//!
+//! A submission that enqueues a new job rings a doorbell (a generation
+//! counter behind a `Mutex` and a `Condvar`) that the idle embedded
+//! workers wait on, so a new job is claimed as soon as it is written.
+//! [`WorkerOptions::poll_ms`] remains only as the wait's timeout: the
+//! fallback that finds jobs dropped into the directory by external
+//! `od-run --queue-worker` submitters or by hand. Shutdown rings the
+//! doorbell too, so idle workers see the cancellation at once.
 
 use crate::http::{self, Request};
 use crate::{state, store};
@@ -26,10 +45,10 @@ use od_runtime::{
 };
 use od_telemetry::{Event, JsonlSink, NullSink, TelemetrySink};
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -151,12 +170,44 @@ pub(crate) struct Counters {
     pub gc_bytes_freed: AtomicU64,
 }
 
+/// Wakes idle embedded workers: a generation counter that every newly
+/// enqueued job (and shutdown) bumps, and the condvar workers wait on.
+#[derive(Default)]
+struct Doorbell {
+    generation: Mutex<u64>,
+    rung: Condvar,
+}
+
+impl Doorbell {
+    /// The current generation. A worker reads it *before* scanning the
+    /// queue, so a job enqueued during the scan still ends its next wait.
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("doorbell lock poisoned")
+    }
+
+    /// Bumps the generation and wakes every waiting worker.
+    fn ring(&self) {
+        *self.generation.lock().expect("doorbell lock poisoned") += 1;
+        self.rung.notify_all();
+    }
+
+    /// Waits until the generation moves past `seen` or `timeout` passes.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let generation = self.generation.lock().expect("doorbell lock poisoned");
+        let _ = self
+            .rung
+            .wait_timeout_while(generation, timeout, |g| *g == seen)
+            .expect("doorbell lock poisoned");
+    }
+}
+
 /// Shared request-handling context.
 struct Ctx {
     queue: PathBuf,
     sink: Arc<dyn TelemetrySink>,
     clock: Arc<dyn QueueClock>,
     counters: Counters,
+    doorbell: Doorbell,
     max_connections: usize,
     idle_timeout_ms: u64,
     gc_caps: store::GcCaps,
@@ -226,9 +277,6 @@ impl Server {
             .map_err(|e| RuntimeError::io(&format!("creating {}", queue.display()), e))?;
         let listener = TcpListener::bind(options.addr.as_str())
             .map_err(|e| RuntimeError::io(&format!("binding {}", options.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RuntimeError::io("configuring the listener", e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| RuntimeError::io("reading the bound address", e))?;
@@ -242,9 +290,24 @@ impl Server {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let cancel = CancelToken::new();
+        let started_ms = options.clock.now_ms();
+        let ctx = Arc::new(Ctx {
+            queue,
+            sink,
+            clock: options.clock,
+            counters: Counters::default(),
+            doorbell: Doorbell::default(),
+            max_connections: options.max_connections.max(1),
+            idle_timeout_ms: options.idle_timeout_ms.max(1),
+            gc_caps: store::GcCaps {
+                max_count: options.results_max_count,
+                max_bytes: options.results_max_bytes,
+            },
+            started_ms,
+        });
         let mut workers = Vec::new();
         if options.workers > 0 {
-            let bus_dir = queue.join(".serve");
+            let bus_dir = ctx.queue.join(".serve");
             std::fs::create_dir_all(&bus_dir)
                 .map_err(|e| RuntimeError::io(&format!("creating {}", bus_dir.display()), e))?;
             for i in 0..options.workers {
@@ -255,24 +318,10 @@ impl Server {
                 worker.worker_id = format!("serve-w{i}");
                 worker.run.sink = Arc::new(FlushSink::new(Arc::new(jsonl)));
                 worker.run.cancel = cancel.clone();
-                let dir = queue.clone();
-                workers.push(std::thread::spawn(move || worker_loop(&dir, &worker)));
+                let ctx = Arc::clone(&ctx);
+                workers.push(std::thread::spawn(move || worker_loop(&ctx, &worker)));
             }
         }
-        let started_ms = options.clock.now_ms();
-        let ctx = Arc::new(Ctx {
-            queue,
-            sink,
-            clock: options.clock,
-            counters: Counters::default(),
-            max_connections: options.max_connections.max(1),
-            idle_timeout_ms: options.idle_timeout_ms.max(1),
-            gc_caps: store::GcCaps {
-                max_count: options.results_max_count,
-                max_bytes: options.results_max_bytes,
-            },
-            started_ms,
-        });
         // Retention holds across restarts: trim anything a previous
         // life (or looser caps) left over before serving.
         ctx.gc()?;
@@ -307,11 +356,20 @@ impl Server {
     /// completed shards checkpointed), joins the listener and worker
     /// threads, waits briefly for in-flight connections to drain, and
     /// emits `serve_stop`.
+    ///
+    /// The accept thread blocks in `accept`, so after raising the stop
+    /// flag shutdown connects once to the service's own address to wake
+    /// it. Should that connect fail, the accept thread is left blocked
+    /// (it holds the listener until the process exits) rather than
+    /// joined, so shutdown still returns.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.cancel.cancel();
+        self.ctx.doorbell.ring();
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            if TcpStream::connect_timeout(&loopback(self.addr), Duration::from_secs(1)).is_ok() {
+                let _ = handle.join();
+            }
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -348,13 +406,29 @@ impl Server {
     }
 }
 
-/// One embedded worker: drain the queue, then poll for new submissions
-/// until cancelled. Infrastructure errors (a scan raced a submission's
-/// rename, transient FS trouble) back off and retry — the service stays
-/// up; job-level failures are already retried inside the drain.
-fn worker_loop(dir: &Path, options: &WorkerOptions) {
+/// The address [`Server::shutdown`] connects to in order to wake the
+/// accept thread: the bound address, with an unspecified IP (a listener
+/// on every interface) replaced by the loopback address of its family.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// One embedded worker: drain the queue, then wait for the next
+/// submission until cancelled. The doorbell ends the wait as soon as a
+/// submission enqueues a job; `poll_ms` bounds it, so jobs written into
+/// the directory by anything else are still found. Infrastructure
+/// errors (a scan raced a submission's rename, transient FS trouble)
+/// back off and retry — the service stays up; job-level failures are
+/// already retried inside the drain.
+fn worker_loop(ctx: &Ctx, options: &WorkerOptions) {
     loop {
-        match run_queue_worker(dir, options) {
+        let seen = ctx.doorbell.generation();
+        match run_queue_worker(&ctx.queue, options) {
             Ok(report) if report.interrupted => return,
             Ok(_) => {}
             Err(_) => std::thread::sleep(Duration::from_millis(200)),
@@ -362,14 +436,25 @@ fn worker_loop(dir: &Path, options: &WorkerOptions) {
         if options.run.cancel.is_cancelled() {
             return;
         }
-        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
+        ctx.doorbell
+            .wait_past(seen, Duration::from_millis(options.poll_ms.max(1)));
     }
 }
 
 fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, ctx: &Arc<Ctx>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once the stop flag is up, whatever woke the accept — normally
+        // the shutdown's own wake connection — is dropped uncounted.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
+                // Responses leave in one write each; with Nagle off, the
+                // final partial segment of a large body is not held for
+                // the client's ACK either.
+                let _ = stream.set_nodelay(true);
                 // Admission control: claim a connection slot or answer
                 // a typed 503 and close. The claim happens here, in the
                 // accept thread, so the cap can never be overshot by a
@@ -400,7 +485,6 @@ fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, ctx: &Arc<Ctx>) {
                     // timeout: a refused client that never reads must
                     // not stall admission for everyone else.
                     std::thread::spawn(move || {
-                        let _ = stream.set_nonblocking(false);
                         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
                         let _ =
                             http::write_response(&mut stream, 503, "application/json", &body, true);
@@ -415,9 +499,8 @@ fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, ctx: &Arc<Ctx>) {
                     ctx.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A failing accept (descriptor exhaustion, say) backs off
+            // instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -475,7 +558,6 @@ fn await_request(
 
 fn handle_connection(stream: TcpStream, ctx: &Ctx, stop: &AtomicBool) -> std::io::Result<()> {
     let mut stream = stream;
-    stream.set_nonblocking(false)?;
     // A short timeout paces the idle poll between requests; once a
     // request begins it also bounds how long a stalled sender can hold
     // the parser (the idle clock keeps running, so a half-sent request
@@ -670,6 +752,7 @@ fn enqueue_spec(ctx: &Ctx, spec: &JobSpec) -> Result<Enqueued, RuntimeError> {
         std::fs::write(&tmp, body)
             .and_then(|()| std::fs::rename(&tmp, &job))
             .map_err(|e| RuntimeError::io("queueing the job", e))?;
+        ctx.doorbell.ring();
     }
     if deduped {
         ctx.counters.jobs_deduped.fetch_add(1, Ordering::SeqCst);
@@ -996,4 +1079,84 @@ fn events_for_job(queue: &Path, job: &Path) -> std::io::Result<Vec<String>> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use od_telemetry::MemorySink;
+    use std::io::Write;
+    use std::time::Instant;
+
+    #[test]
+    fn wake_address_is_the_loopback_of_an_unspecified_bind() {
+        let wake = |addr: &str| loopback(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
+    }
+
+    /// Shutdown wakes the blocked accept with its own connection, and
+    /// that connection leaves no trace: not in the metrics document's
+    /// `connections` or `requests`, not as a `serve_request` event.
+    #[test]
+    fn shutdown_wakes_the_blocking_accept_without_a_trace() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let queue = std::env::temp_dir().join(format!(
+                "od_serve_shutdown_{}_{}",
+                bind.replace(['.', ':'], "_"),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&queue);
+            let sink = Arc::new(MemorySink::new());
+            let server = Server::start(ServeOptions {
+                queue_dir: queue.clone(),
+                addr: bind.to_string(),
+                workers: 0,
+                sink: sink.clone(),
+                ..ServeOptions::default()
+            })
+            .expect("server start");
+            let port = server.addr().port();
+            let mut client = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            client
+                .write_all(b"GET /jobs HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            client.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+
+            let ctx = Arc::clone(&server.ctx);
+            let started = Instant::now();
+            server.shutdown();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "{bind}: shutdown took {took:?}"
+            );
+
+            let (_, _, body) = metrics(&ctx);
+            let doc = parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            assert_eq!(
+                doc.get("connections"),
+                Some(&Json::Int(1)),
+                "{bind}: {doc:?}"
+            );
+            assert_eq!(doc.get("requests"), Some(&Json::Int(1)), "{bind}: {doc:?}");
+            let lines = sink.lines();
+            let served = lines
+                .iter()
+                .filter(|l| l.contains("\"kind\":\"serve_request\""))
+                .count();
+            assert_eq!(served, 1, "{bind}: {lines:?}");
+            assert!(
+                lines
+                    .iter()
+                    .any(|l| l.contains("\"kind\":\"serve_stop\"") && l.contains("\"requests\":1")),
+                "{bind}: {lines:?}"
+            );
+            let _ = std::fs::remove_dir_all(&queue);
+        }
+    }
 }

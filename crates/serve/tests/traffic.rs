@@ -486,6 +486,50 @@ fn poll_until_done(client: &mut Client, id: &str) {
     }
 }
 
+/// A submission wakes the idle embedded worker: with the fallback poll
+/// pushed out to a minute, a new job still runs within seconds.
+#[test]
+fn submissions_wake_the_idle_worker() {
+    let queue = temp_dir("wake");
+    let mut options = ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    options.worker.poll_ms = 60_000;
+    let server = Server::start(options).expect("server start");
+    let mut client = Client::connect(server.addr());
+    // Let the worker finish its first scan of the empty queue and start
+    // waiting, so the job below can only be found by being woken.
+    std::thread::sleep(Duration::from_millis(200));
+    let submitted = Instant::now();
+    let response = client.request("POST", "/jobs", &spec(31));
+    assert_eq!(response.status, 201, "{}", response.body);
+    let doc = parse(&response.body).unwrap();
+    let id = doc.get("job").and_then(Json::as_str).unwrap().to_string();
+    loop {
+        let response = client.request("GET", &format!("/jobs/{id}"), "");
+        let doc = parse(&response.body).unwrap();
+        if doc.get("status").and_then(Json::as_str) == Some("done") {
+            break;
+        }
+        assert!(
+            submitted.elapsed() < Duration::from_secs(10),
+            "job not done {:?} after submission: {}",
+            submitted.elapsed(),
+            response.body
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown must wake the waiting worker, not wait out its poll"
+    );
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
 #[test]
 fn capped_store_keeps_referenced_results_and_evicts_oldest_when_released() {
     let queue = temp_dir("gc");
